@@ -1,18 +1,25 @@
 """
-Bruhat order on S_n via the dot-table criterion.
+Bruhat order on S_n, and the poset core every analysis reads.
 
 For a permutation w and 1 <= k, l <= n, the dot table counts
 ``w[k, l] = |{i <= k : w(i) >= l}|``; then v <= w in Bruhat order iff
-every dot-table entry of v is <= the corresponding entry of w.  The
-order on any subset of S_n (an explicit "universe") is the induced one,
-and ``poset_view`` computes its covering edges by a pure betweenness
-check, independent of any covering-move machinery.
+every dot-table entry of v is <= the corresponding entry of w.
+
+``PosetView`` holds elements and covering edges and derives the index
+and the up- and down-set bitmasks; ``restrict`` reads off the order
+induced on a subset, so a class view is the involution order (built
+from the covering moves) restricted to the class.  ``UniverseIndex``
+and ``poset_view`` compute the order on an explicit universe by the dot
+criterion alone: they are the oracle the covering moves are checked
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from graphlib import CycleError, TopologicalSorter
+from typing import Iterator
 
 from .perms import Perm, inversions
 
@@ -70,33 +77,81 @@ def interval(p: Perm, q: Perm, universe) -> tuple[Perm, ...]:
     )
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class PosetView:
-    """A finite induced subposet: elements plus covering edges.
+    """A finite poset given by its elements and covering edges.
 
-    ``labels`` maps a covering edge to its rise label when one is known
-    (an edge of the ambient involution order) and to None otherwise.
+    An edge (x, y) means y covers x.  ``labels`` maps a covering edge to
+    its rise label when one is known (an edge of the ambient involution
+    order) and to None otherwise.  The derived members are computed on
+    first use and cached.
     """
 
     elements: tuple[Perm, ...]
     covers: tuple[tuple[Perm, Perm], ...]
     labels: dict[tuple[Perm, Perm], Label | None] | None = None
 
-    def upper_covers(self, x: Perm) -> tuple[Perm, ...]:
-        return tuple(b for a, b in self.covers if a == x)
+    @cached_property
+    def index(self) -> dict[Perm, int]:
+        """Element -> position in ``elements``."""
+        return {p: i for i, p in enumerate(self.elements)}
 
-    def lower_covers(self, x: Perm) -> tuple[Perm, ...]:
-        return tuple(a for a, b in self.covers if b == x)
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """Strict up-set of each element as a bitmask over positions."""
+        return self._reach(self.covers)
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Strict down-set of each element as a bitmask over positions."""
+        return self._reach((b, a) for a, b in self.covers)
+
+    def _reach(self, edges) -> tuple[int, ...]:
+        """Transitive closure of ``edges`` as bitmasks, taken in reverse
+        topological order.  A cycle raises ValueError."""
+        after: dict[int, list[int]] = {i: [] for i in range(len(self.elements))}
+        for a, b in edges:
+            after[self.index[a]].append(self.index[b])
+        reach = [0] * len(after)
+        try:
+            # edge targets come out first, so their masks are final
+            for i in TopologicalSorter(after).static_order():
+                for j in after[i]:
+                    reach[i] |= (1 << j) | reach[j]
+        except CycleError:
+            raise ValueError("covering graph has a cycle; not a poset view") from None
+        return tuple(reach)
+
+    def restrict(self, subset) -> PosetView:
+        """The order induced on ``subset`` of the elements, unlabelled.
+
+        y covers x in the subset iff y is above x and no subset element
+        lies strictly between them.
+        """
+        index, up, down = self.index, self.up, self.down
+        elements = tuple(sorted(set(subset)))
+        mask = sum(1 << index[p] for p in elements)
+        covers = []
+        for x in elements:
+            above = up[index[x]] & mask
+            for j in bits(above):
+                if not above & down[j]:
+                    covers.append((x, self.elements[j]))
+        return PosetView(elements=elements, covers=tuple(sorted(covers)))
 
 
 class UniverseIndex:
-    """Bitset index of the induced Bruhat order on a fixed element set.
-
-    Each element gets an index; up-sets and down-sets are stored as int
-    bitmasks over indices, which makes betweenness and interval queries
-    cheap even for a few hundred elements.  Built purely from the dot
-    criterion.
-    """
+    """Bitset index of the induced Bruhat order on a fixed element set,
+    built by the dot criterion alone: strict up-sets and down-sets are
+    int bitmasks over the positions of the sorted elements."""
 
     def __init__(self, universe):
         elements = tuple(sorted(set(universe)))
@@ -127,22 +182,14 @@ class UniverseIndex:
         self.up = up
         self.down = down
 
-    def leq(self, p: Perm, q: Perm) -> bool:
-        i, j = self.index[p], self.index[q]
-        return i == j or bool(self.up[i] >> j & 1)
-
-    def bits(self, mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+    bits = staticmethod(bits)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) where j covers i in the induced order."""
         pairs = []
         for i in range(len(self.elements)):
             up_i = self.up[i]
-            for j in self.bits(up_i):
+            for j in bits(up_i):
                 if not up_i & self.down[j]:
                     pairs.append((i, j))
         return pairs

@@ -4,10 +4,10 @@ Saturated chains between involutions, with their label words.
 Every interval of the involution order carries exactly one chain whose
 label word is weakly increasing (it is also lex-minimal) and exactly one
 whose label word is strictly decreasing (also the only weakly decreasing
-one).  Both are built greedily (smallest, respectively largest,
-feasible label at each step) with the monotonicity asserted afterwards;
-``all_saturated_chains`` enumerates every chain of an interval and
-serves as the uniqueness oracle.
+one).  Both are built greedily from the covering moves (smallest,
+respectively largest, feasible label at each step), with the
+monotonicity asserted afterwards; ``all_saturated_chains`` enumerates
+every chain of an interval and serves as the uniqueness oracle.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ def is_strictly_decreasing(labels) -> bool:
     return all(a > b for a, b in zip(labels, labels[1:]))
 
 
-def _greedy_chain(p, q, pick: Callable) -> Chain:
+def _greedy_chain(p, q, pick: Callable, monotone: Callable) -> Chain:
+    """Pick the min or max feasible label at each step, then assert the
+    label word is ``monotone``."""
     if not bruhat_leq(p, q):
         raise ValueError(f"{p} is not <= {q} in Bruhat order")
     elements, labels = [p], []
@@ -77,35 +79,21 @@ def _greedy_chain(p, q, pick: Callable) -> Chain:
         label, x = pick(feasible)
         elements.append(x)
         labels.append(label)
+    if not monotone(labels):
+        raise AssertionError(
+            f"greedy chain from {p} to {q} fails {monotone.__name__}: {labels}"
+        )
     return Chain(tuple(elements), tuple(labels))
 
 
 def increasing_chain(p, q) -> Chain:
     """The unique chain from p to q with weakly increasing labels."""
-    chain = _greedy_chain(p, q, min)
-    if not is_weakly_increasing(chain.labels):
-        raise AssertionError(
-            f"greedy lex-min chain from {p} to {q} is not increasing: {chain.labels}"
-        )
-    return chain
+    return _greedy_chain(p, q, min, is_weakly_increasing)
 
 
 def decreasing_chain(p, q) -> Chain:
-    """The unique chain from p to q with strictly decreasing labels.
-
-    Greedy lex-max construction; if its label word ever failed to
-    decrease, the exhaustive enumeration would be searched instead.
-    """
-    chain = _greedy_chain(p, q, max)
-    if not is_strictly_decreasing(chain.labels):
-        matches = [c for c in iter_saturated_chains(p, q)
-                   if is_strictly_decreasing(c.labels)]
-        if len(matches) != 1:
-            raise AssertionError(
-                f"expected one decreasing chain from {p} to {q}, found {len(matches)}"
-            )
-        chain = matches[0]
-    return chain
+    """The unique chain from p to q with strictly decreasing labels."""
+    return _greedy_chain(p, q, max, is_strictly_decreasing)
 
 
 def iter_saturated_chains(p, q) -> Iterator[Chain]:

@@ -22,6 +22,7 @@ import time
 
 from . import fpclasses
 from .chains import (
+    ChainGuardExceeded,
     all_saturated_chains,
     decreasing_chain,
     increasing_chain,
@@ -29,16 +30,17 @@ from .chains import (
 from .bruhat import bruhat_leq
 from .elshell import LabelOrder, el_check, labelled_class_view
 from .fpclasses import (
+    MAX_VIEW_N,
     FixedPointSpec,
     enumerate_class,
-    in_class,
     is_graded_bruteforce,
     is_graded_rule,
     make_spec,
     rank_in_involutions,
     rank_value,
 )
-from .perms import Perm, format_perm, num_fixed_points, parse_perm, statistics
+from .perms import (Perm, format_perm, is_involution, num_fixed_points,
+                    parse_perm, statistics)
 
 
 class UsageError(Exception):
@@ -62,6 +64,13 @@ def _spec_from_args(args) -> FixedPointSpec:
         return make_spec(args.n, _parse_counts(args, args.n))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _view_spec_from_args(args) -> FixedPointSpec:
+    """The class of a command that builds the class's order view."""
+    if args.n > MAX_VIEW_N:
+        raise UsageError(f"{args.command} supports sizes up to {MAX_VIEW_N}")
+    return _spec_from_args(args)
 
 
 def _record(p: Perm, spec: FixedPointSpec, graded: bool) -> dict:
@@ -101,7 +110,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_hasse(args, out) -> int:
-    spec = _spec_from_args(args)
+    spec = _view_spec_from_args(args)
     view = labelled_class_view(spec)
     name = spec.describe()
     out.write(f'digraph "{name}" {{\n')
@@ -117,11 +126,9 @@ def cmd_hasse(args, out) -> int:
 
 
 def cmd_check_graded(args, out) -> int:
-    n = args.n
+    specs = [_view_spec_from_args(args)]
     if args.all_classes:
-        specs = fpclasses.all_specs(n)
-    else:
-        specs = [_spec_from_args(args)]
+        specs = fpclasses.all_specs(args.n)
     results = []
     all_agree = True
     for spec in specs:
@@ -137,7 +144,7 @@ def cmd_check_graded(args, out) -> int:
         })
     report = {
         "command": "check-graded",
-        "n": n,
+        "n": args.n,
         "results": results,
         "status": "pass" if all_agree else "fail",
     }
@@ -164,6 +171,9 @@ def cmd_chains(args, out) -> int:
         raise UsageError(str(exc)) from None
     if len(p) != args.n or len(q) != args.n:
         raise UsageError("--from/--to words must have size --n")
+    for w in (p, q):
+        if not is_involution(w):
+            raise UsageError(f"{format_perm(w)} is not an involution")
     if not bruhat_leq(p, q):
         raise UsageError(f"{format_perm(p)} is not below {format_perm(q)}")
     report = {
@@ -181,7 +191,10 @@ def cmd_chains(args, out) -> int:
         chain = decreasing_chain(p, q)
         report["decreasing"] = _chain_payload(chain.elements, chain.labels)
     if args.kind == "all":
-        chains = all_saturated_chains(p, q)
+        try:
+            chains = all_saturated_chains(p, q)
+        except ChainGuardExceeded as exc:
+            raise UsageError(str(exc)) from None
         report["all"] = [_chain_payload(c.elements, c.labels) for c in chains]
         report["count"] = len(chains)
     out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -189,7 +202,7 @@ def cmd_chains(args, out) -> int:
 
 
 def cmd_el_verify(args, out) -> int:
-    spec = _spec_from_args(args)
+    spec = _view_spec_from_args(args)
     if args.order == "auto":
         order = LabelOrder.REVERSED_LEX if spec.counts == {0} \
             else LabelOrder.STANDARD_LEX
@@ -204,14 +217,13 @@ def cmd_el_verify(args, out) -> int:
     }
     try:
         result = el_check(view, order)
+        reason = None if result.applicable \
+            else "some induced covers carry no label"
     except ValueError as exc:
+        reason = str(exc)
+    if reason is not None:
         report["status"] = "not-applicable"
-        report["reason"] = str(exc)
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        return 0
-    if not result.applicable:
-        report["status"] = "not-applicable"
-        report["reason"] = "some induced covers carry no label"
+        report["reason"] = reason
         out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return 0
     report["is_el"] = result.is_el

@@ -7,7 +7,9 @@ label word, and that chain is lexicographically minimal among the
 interval's chains.  Covers of a class view inherit the rise label of the
 ambient involution order when they are covers there; covers that jump
 more than one ambient rank carry no label and make EL verification
-inapplicable.
+inapplicable.  The checks read a view's index and up-set bitmasks
+(``bruhat.PosetView``) plus the labelled out-edges of each element;
+``el_check_by_enumeration`` is the oracle twin that lists every chain.
 
 The fixed-point-free class is EL-labelled by the rise labels under the
 *reversed* lexicographic label order; the full involution order uses the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bruhat import PosetView, bruhat_less
+from .bruhat import PosetView, bits, bruhat_less
 from .chains import Chain, decreasing_chain, increasing_chain
 from .fpclasses import (
     FixedPointSpec,
@@ -62,41 +64,15 @@ def labelled_class_view(spec: FixedPointSpec) -> PosetView:
     return PosetView(elements=view.elements, covers=view.covers, labels=labels)
 
 
-class _ViewIndex:
-    """Reachability bitmasks over a view's covering graph."""
-
-    def __init__(self, view: PosetView):
-        self.elements = view.elements
-        self.index = {p: i for i, p in enumerate(view.elements)}
-        m = len(view.elements)
-        self.out: list[list[tuple[Label, int]]] = [[] for _ in range(m)]
-        indeg = [0] * m
-        assert view.labels is not None
-        for (a, b), label in view.labels.items():
-            ia, ib = self.index[a], self.index[b]
-            self.out[ia].append((label, ib))
-            indeg[ib] += 1
-        self.indeg = indeg
-        # strict up-reachability, accumulated against topological order
-        order, stack = [], [i for i in range(m) if indeg[i] == 0]
-        remaining = indeg[:]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            for _, j in self.out[i]:
-                remaining[j] -= 1
-                if remaining[j] == 0:
-                    stack.append(j)
-        if len(order) != m:
-            raise ValueError("covering graph has a cycle; not a poset view")
-        up = [0] * m
-        for i in reversed(order):
-            for _, j in self.out[i]:
-                up[i] |= (1 << j) | up[j]
-        self.up = up
+def _labelled_out_edges(view: PosetView) -> list[list[tuple[Label, int]]]:
+    """(label, position of the upper cover) for each element's covers."""
+    out: list[list[tuple[Label, int]]] = [[] for _ in view.elements]
+    for (a, b), label in view.labels.items():
+        out[view.index[a]].append((label, view.index[b]))
+    return out
 
 
-def _greedy_lex_min(idx: _ViewIndex, x: int, y: int, order: LabelOrder) -> tuple[Label, ...]:
+def _greedy_lex_min(out, up, x: int, y: int, order: LabelOrder) -> tuple[Label, ...]:
     """Label word of the lex-minimal x-y chain inside the view interval.
 
     Greedy choice of the smallest feasible label is lex-minimal because
@@ -106,15 +82,15 @@ def _greedy_lex_min(idx: _ViewIndex, x: int, y: int, order: LabelOrder) -> tuple
     here = x
     while here != y:
         feasible = [
-            (label, z) for label, z in idx.out[here]
-            if z == y or (idx.up[z] >> y) & 1
+            (label, z) for label, z in out[here]
+            if z == y or (up[z] >> y) & 1
         ]
         label, here = min(feasible, key=lambda lz: order.key(lz[0]))
         word.append(label)
     return tuple(word)
 
 
-def _increasing_chains(idx: _ViewIndex, x: int, y: int, order: LabelOrder,
+def _increasing_chains(out, up, x: int, y: int, order: LabelOrder,
                        cap: int = 2) -> list[tuple[Label, ...]]:
     """Label words of weakly increasing x-y chains, at most ``cap`` found."""
     found: list[tuple[Label, ...]] = []
@@ -123,18 +99,23 @@ def _increasing_chains(idx: _ViewIndex, x: int, y: int, order: LabelOrder,
         if here == y:
             found.append(tuple(word))
             return
-        for label, z in idx.out[here]:
+        for label, z in out[here]:
             if len(found) >= cap:
                 return
             if last is not None and order.key(label) < order.key(last):
                 continue
-            if z == y or (idx.up[z] >> y) & 1:
+            if z == y or (up[z] >> y) & 1:
                 word.append(label)
                 walk(z, label, word)
                 word.pop()
 
     walk(x, None, [])
     return found
+
+
+def _report(violations: list[tuple[Perm, Perm, str]]) -> ELReport:
+    return ELReport(applicable=True, is_el=not violations,
+                    violations=tuple(sorted(violations)))
 
 
 def el_check(view: PosetView, order: LabelOrder) -> ELReport:
@@ -146,43 +127,31 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     """
     if view.labels is None or any(l is None for l in view.labels.values()):
         return ELReport(applicable=False, is_el=False, violations=())
-    report = is_graded_bruteforce(view)
-    if not report.graded:
+    if not is_graded_bruteforce(view).graded:
         raise ValueError("view is not graded")
-    idx = _ViewIndex(view)
-    m = len(idx.elements)
-    if sum(1 for i in range(m) if idx.indeg[i] == 0) != 1 \
-            or sum(1 for i in range(m) if not idx.out[i]) != 1:
+    tops = set(view.elements) - {a for a, _ in view.covers}
+    bottoms = set(view.elements) - {b for _, b in view.covers}
+    if len(bottoms) != 1 or len(tops) != 1:
         raise ValueError("view is not bounded")
-    for i in range(m):
-        labels_here = [label for label, _ in idx.out[i]]
-        if len(set(labels_here)) != len(labels_here):
-            raise ValueError(f"element {idx.elements[i]} repeats a cover label")
+    out, up = _labelled_out_edges(view), view.up
+    for x, edges in zip(view.elements, out):
+        if len({label for label, _ in edges}) != len(edges):
+            raise ValueError(f"element {x} repeats a cover label")
 
     violations = []
-    for x in range(m):
-        up_x = idx.up[x]
-        for y in idx_bits(up_x):
-            increasing = _increasing_chains(idx, x, y, order)
+    for x, up_x in enumerate(up):
+        for y in bits(up_x):
+            increasing = _increasing_chains(out, up, x, y, order)
             if len(increasing) != 1:
                 reason = "no-increasing-chain" if not increasing \
                     else "multiple-increasing-chains"
-                violations.append((idx.elements[x], idx.elements[y], reason))
+                violations.append((view.elements[x], view.elements[y], reason))
                 continue
-            if increasing[0] != _greedy_lex_min(idx, x, y, order):
+            if increasing[0] != _greedy_lex_min(out, up, x, y, order):
                 violations.append(
-                    (idx.elements[x], idx.elements[y], "increasing-not-lex-min")
+                    (view.elements[x], view.elements[y], "increasing-not-lex-min")
                 )
-    violations.sort()
-    return ELReport(applicable=True, is_el=not violations,
-                    violations=tuple(violations))
-
-
-def idx_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return _report(violations)
 
 
 def el_check_by_enumeration(view: PosetView, order: LabelOrder,
@@ -192,30 +161,29 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder,
         return ELReport(applicable=False, is_el=False, violations=())
     if not is_graded_bruteforce(view).graded:
         raise ValueError("view is not graded")
-    idx = _ViewIndex(view)
-    m = len(idx.elements)
+    out, up = _labelled_out_edges(view), view.up
 
     def chains(x: int, y: int) -> list[tuple[Label, ...]]:
-        out: list[tuple[Label, ...]] = []
+        found: list[tuple[Label, ...]] = []
 
         def walk(here: int, word: list[Label]):
             if here == y:
-                out.append(tuple(word))
-                if len(out) > max_chains:
+                found.append(tuple(word))
+                if len(found) > max_chains:
                     raise RuntimeError("chain guard exceeded")
                 return
-            for label, z in idx.out[here]:
-                if z == y or (idx.up[z] >> y) & 1:
+            for label, z in out[here]:
+                if z == y or (up[z] >> y) & 1:
                     word.append(label)
                     walk(z, word)
                     word.pop()
 
         walk(x, [])
-        return out
+        return found
 
     violations = []
-    for x in range(m):
-        for y in idx_bits(idx.up[x]):
+    for x, up_x in enumerate(up):
+        for y in bits(up_x):
             words = chains(x, y)
             keyed = [tuple(order.key(l) for l in w) for w in words]
             rising = [w for w, kw in zip(words, keyed)
@@ -223,14 +191,12 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder,
             if len(rising) != 1:
                 reason = "no-increasing-chain" if not rising \
                     else "multiple-increasing-chains"
-                violations.append((idx.elements[x], idx.elements[y], reason))
+                violations.append((view.elements[x], view.elements[y], reason))
             elif tuple(order.key(l) for l in rising[0]) != min(keyed):
                 violations.append(
-                    (idx.elements[x], idx.elements[y], "increasing-not-lex-min")
+                    (view.elements[x], view.elements[y], "increasing-not-lex-min")
                 )
-    violations.sort()
-    return ELReport(applicable=True, is_el=not violations,
-                    violations=tuple(violations))
+    return _report(violations)
 
 
 def fpf_decreasing_chain(p: Perm, q: Perm) -> tuple[bool, Chain]:

@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bruhat import PosetView, bruhat_leq, bruhat_less, poset_view
-from .moves import classify_rise, ct, SUITABLE
+from .bruhat import PosetView, bruhat_less
+from .moves import covers, ct
 from .perms import (
+    MAX_N,
     Perm,
     enumerate_involutions,
     is_involution,
@@ -67,12 +68,13 @@ class FixedPointSpec:
 def make_spec(n: int, counts) -> FixedPointSpec:
     """Validate and build a class description.
 
-    Counts must be nonempty, lie in 0..n, and share n's parity (an
-    involution of S_n always has n-congruent fixed-point count mod 2).
+    The size must lie in 1..MAX_N.  Counts must be nonempty, lie in
+    0..n, and share n's parity (an involution of S_n always has
+    n-congruent fixed-point count mod 2).
     """
     counts = frozenset(counts)
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"size {n} outside 1..{MAX_N}")
     if not counts:
         raise ValueError("empty fixed-point count set")
     for a in counts:
@@ -120,20 +122,31 @@ def in_class(p: Perm, spec: FixedPointSpec) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _class_elements(n: int, counts: frozenset[int]) -> tuple[Perm, ...]:
-    return tuple(
-        p for p in enumerate_involutions(n) if num_fixed_points(p) in counts
-    )
-
-
 def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
     """The class elements in lexicographic word order."""
-    return _class_elements(spec.n, spec.counts)
+    return tuple(p for p in enumerate_involutions(spec.n)
+                 if num_fixed_points(p) in spec.counts)
+
+
+# Largest size whose whole involution order is built: at n = 10 it takes
+# about 3 s and 18 MB of bitmasks, which would grow to 240 MB at n = 11.
+MAX_VIEW_N = 10
+
+
+@lru_cache(maxsize=8)
+def involution_view(n: int) -> PosetView:
+    """The whole involution order of size n, which class views restrict:
+    its covers are the covering moves."""
+    if n > MAX_VIEW_N:
+        raise ValueError(f"size {n} above the view cap {MAX_VIEW_N}")
+    elements = enumerate_involutions(n)
+    edges = tuple(sorted((p, q) for p in elements for _, q in covers(p)))
+    return PosetView(elements=elements, covers=edges)
 
 
 def class_view(spec: FixedPointSpec) -> PosetView:
     """Covering graph of the induced order on the class."""
-    return poset_view(enumerate_class(spec))
+    return involution_view(spec.n).restrict(enumerate_class(spec))
 
 
 @dataclass(frozen=True)
@@ -250,12 +263,11 @@ def top_element(spec: FixedPointSpec) -> Perm:
 
 
 def minimal_elements(spec: FixedPointSpec) -> tuple[Perm, ...]:
-    """All minimal elements of the induced order on the class."""
-    elements = enumerate_class(spec)
-    return tuple(
-        x for x in elements
-        if not any(bruhat_less(y, x) for y in elements)
-    )
+    """All minimal elements of the induced order on the class: the
+    elements without a lower cover."""
+    view = class_view(spec)
+    covered = {y for _, y in view.covers}
+    return tuple(x for x in view.elements if x not in covered)
 
 
 @dataclass(frozen=True)
@@ -269,7 +281,7 @@ class WitnessReport:
     short_chain: tuple[Perm, ...]
 
 
-def _pad(core: list[int], n: int, i: int) -> Perm:
+def _pad(core: Perm | list[int], n: int, i: int) -> Perm:
     """Extend a core word: letters k+1..k+i-2 fixed, the rest swapped in
     adjacent pairs, so the total fixed-point count grows by i - 2."""
     k = len(core)
@@ -299,6 +311,19 @@ def _verify_class_chain(chain, elements) -> None:
                 )
 
 
+def _padded_witness(spec: FixedPointSpec, i: int, long_core,
+                     short_core) -> WitnessReport:
+    """Pad two core chains with the same ends to size n and verify both
+    in the class."""
+    long_chain = tuple(_pad(w, spec.n, i) for w in long_core)
+    short_chain = tuple(_pad(w, spec.n, i) for w in short_core)
+    elements = enumerate_class(spec)
+    _verify_class_chain(long_chain, elements)
+    _verify_class_chain(short_chain, elements)
+    return WitnessReport(spec=spec, bottom=long_chain[0], top=long_chain[-1],
+                         long_chain=long_chain, short_chain=short_chain)
+
+
 def isolated_count_witness(n: int, i: int) -> WitnessReport:
     """Unequal-length chains in the class with counts {i}, for an
     isolated count: 2 <= i <= n - 4 and i of n's parity.
@@ -311,26 +336,10 @@ def isolated_count_witness(n: int, i: int) -> WitnessReport:
         raise ValueError(f"need 2 <= i <= n - 4, got i = {i}, n = {n}")
     if i % 2 != n % 2:
         raise ValueError(f"count {i} has the wrong parity for n = {n}")
-    cores = {
-        "bottom": [1, 2, 4, 3, 6, 5],
-        "top": [4, 2, 6, 1, 5, 3],
-        "long": [[1, 2, 4, 3, 6, 5], [1, 4, 3, 2, 6, 5],
-                 [4, 2, 3, 1, 6, 5], [4, 2, 6, 1, 5, 3]],
-        "short": [[1, 2, 4, 3, 6, 5], [2, 1, 6, 4, 5, 3], [4, 2, 6, 1, 5, 3]],
-    }
-    spec = make_spec(n, {i})
-    long_chain = tuple(_pad(w, n, i) for w in cores["long"])
-    short_chain = tuple(_pad(w, n, i) for w in cores["short"])
-    elements = enumerate_class(spec)
-    _verify_class_chain(long_chain, elements)
-    _verify_class_chain(short_chain, elements)
-    return WitnessReport(
-        spec=spec,
-        bottom=_pad(cores["bottom"], n, i),
-        top=_pad(cores["top"], n, i),
-        long_chain=long_chain,
-        short_chain=short_chain,
-    )
+    long_core = [[1, 2, 4, 3, 6, 5], [1, 4, 3, 2, 6, 5],
+                 [4, 2, 3, 1, 6, 5], [4, 2, 6, 1, 5, 3]]
+    short_core = [[1, 2, 4, 3, 6, 5], [2, 1, 6, 4, 5, 3], [4, 2, 6, 1, 5, 3]]
+    return _padded_witness(make_spec(n, {i}), i, long_core, short_core)
 
 
 def gapped_counts_witness(n: int, i: int, m: int) -> WitnessReport:
@@ -364,15 +373,4 @@ def gapped_counts_witness(n: int, i: int, m: int) -> WitnessReport:
     short_core = [tuple(sigma), pi, tuple(tau)]
 
     spec = make_spec(n, {i - 2, i + 2 * m})
-    long_chain = tuple(_pad(list(w), n, i) for w in long_core)
-    short_chain = tuple(_pad(list(w), n, i) for w in short_core)
-    elements = enumerate_class(spec)
-    _verify_class_chain(long_chain, elements)
-    _verify_class_chain(short_chain, elements)
-    return WitnessReport(
-        spec=spec,
-        bottom=_pad(sigma, n, i),
-        top=_pad(tau, n, i),
-        long_chain=long_chain,
-        short_chain=short_chain,
-    )
+    return _padded_witness(spec, i, long_core, short_core)

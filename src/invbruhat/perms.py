@@ -88,14 +88,6 @@ def inversions(p: Perm) -> int:
     return statistics(p)[0]
 
 
-def exceedances(p: Perm) -> int:
-    return statistics(p)[1]
-
-
-def fixed_points(p: Perm) -> tuple[int, ...]:
-    return tuple(i + 1 for i, v in enumerate(p) if v == i + 1)
-
-
 def num_fixed_points(p: Perm) -> int:
     return sum(1 for i, v in enumerate(p) if v == i + 1)
 
@@ -103,8 +95,6 @@ def num_fixed_points(p: Perm) -> int:
 def count_involutions(n: int) -> int:
     """Number of involutions in S_n by the standard recurrence."""
     a, b = 1, 1  # counts for sizes 0 and 1
-    if n == 0:
-        return 1
     for m in range(2, n + 1):
         a, b = b, b + (m - 1) * a
     return b
@@ -180,9 +170,3 @@ def format_perm(p: Perm) -> str:
     if len(p) <= 9:
         return "".join(str(v) for v in p)
     return ",".join(str(v) for v in p)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -100,6 +100,36 @@ def test_chains_incomparable_exits_with_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "13", "--classes", "1"],
+    ["check-graded", "--n", "13", "--all-classes"],
+    ["el-verify", "--n", "13", "--classes", "1"],
+    ["hasse", "--n", "13", "--classes", "13"],
+    ["hasse", "--n", "11", "--classes", "11"],
+    ["check-graded", "--n", "11", "--classes", "11"],
+    ["el-verify", "--n", "11", "--classes", "1"],
+    ["check-graded", "--n", "0", "--all-classes"],
+    ["chains", "--n", "4", "--from", "1234", "--to", "2314"],
+    ["chains", "--n", "8", "--from", "12345678", "--to", "87654321",
+     "--kind", "all"],
+])
+def test_precondition_errors_exit_2_without_output(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_one_class_at_the_largest_sizes_completes():
+    code, text = run_cli(["hasse", "--n", "10", "--classes", "10"])
+    assert code == 0
+    assert text == ('digraph "F_10^{10}" {\n  rankdir=BT;\n'
+                    '  "1,2,3,4,5,6,7,8,9,10";\n}\n')
+    code, text = run_cli(["enumerate", "--n", "12", "--classes", "12"])
+    assert code == 0
+    assert json.loads(text)["word"] == "1,2,3,4,5,6,7,8,9,10,11,12"
+
+
 def test_el_verify_pass_fail_and_not_applicable():
     code, text = run_cli(["el-verify", "--n", "6", "--classes", "0"])
     assert code == 0

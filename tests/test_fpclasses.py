@@ -187,6 +187,15 @@ def test_top_element_statistics_and_maximality():
                 assert bruhat_leq(p, top)
 
 
+def test_class_view_equals_dot_criterion_view():
+    for n in range(1, 8):
+        for spec in all_specs(n):
+            restricted = class_view(spec)
+            direct = poset_view(enumerate_class(spec))
+            assert restricted.elements == direct.elements, spec
+            assert restricted.covers == direct.covers, spec
+
+
 def test_minimal_elements_examples():
     assert minimal_elements(make_spec(4, {0})) == words("2143")
     assert len(minimal_elements(make_spec(6, {0, 2}))) == 6
