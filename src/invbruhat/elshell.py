@@ -7,9 +7,16 @@ label word, and that chain is lexicographically minimal among the
 interval's chains.  Covers of a class view inherit the rise label of the
 ambient involution order when they are covers there; covers that jump
 more than one ambient rank carry no label and make EL verification
-inapplicable.  The checks read a view's index and up-set bitmasks
-(``bruhat.PosetView``) plus the labelled out-edges of each element;
-``el_check_by_enumeration`` is the oracle twin that lists every chain.
+inapplicable.
+
+``el_check`` takes the bottoms x in descending rank and makes one pass
+over x's out-edges in label-key order.  From the sets already built for
+x's upper covers it builds, as int bitmasks over the view's positions,
+the tops y reached from x by at least one and by at least two weakly
+increasing chains, and the tops whose lexicographically minimal chain
+from x rises.  That costs O(covers) big-int operations instead of a
+chain search per comparable pair.  ``el_check_by_enumeration`` is the
+oracle twin that lists every chain of every interval.
 
 The fixed-point-free class is EL-labelled by the rise labels under the
 *reversed* lexicographic label order; the full involution order uses the
@@ -20,6 +27,7 @@ order has its increasing or decreasing chain escape the class.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,47 +80,6 @@ def _labelled_out_edges(view: PosetView) -> list[list[tuple[Label, int]]]:
     return out
 
 
-def _greedy_lex_min(out, up, x: int, y: int, order: LabelOrder) -> tuple[Label, ...]:
-    """Label word of the lex-minimal x-y chain inside the view interval.
-
-    Greedy choice of the smallest feasible label is lex-minimal because
-    all chains of an interval in a graded poset have equal length.
-    """
-    word = []
-    here = x
-    while here != y:
-        feasible = [
-            (label, z) for label, z in out[here]
-            if z == y or (up[z] >> y) & 1
-        ]
-        label, here = min(feasible, key=lambda lz: order.key(lz[0]))
-        word.append(label)
-    return tuple(word)
-
-
-def _increasing_chains(out, up, x: int, y: int, order: LabelOrder,
-                       cap: int = 2) -> list[tuple[Label, ...]]:
-    """Label words of weakly increasing x-y chains, at most ``cap`` found."""
-    found: list[tuple[Label, ...]] = []
-
-    def walk(here: int, last: Label | None, word: list[Label]):
-        if here == y:
-            found.append(tuple(word))
-            return
-        for label, z in out[here]:
-            if len(found) >= cap:
-                return
-            if last is not None and order.key(label) < order.key(last):
-                continue
-            if z == y or (up[z] >> y) & 1:
-                word.append(label)
-                walk(z, label, word)
-                word.pop()
-
-    walk(x, None, [])
-    return found
-
-
 def _report(violations: list[tuple[Perm, Perm, str]]) -> ELReport:
     return ELReport(applicable=True, is_el=not violations,
                     violations=tuple(sorted(violations)))
@@ -124,10 +91,21 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     The view must be bounded and graded (ValueError otherwise) and fully
     labelled (reported as not applicable otherwise).  A violation lists
     (bottom, top, reason) for its interval.
+
+    Out-edges are taken in increasing label key.  For each bottom x,
+    ``one[x][i]`` and ``two[x][i]`` hold the tops y reached from x by at
+    least one and at least two weakly increasing chains whose first edge
+    is edge i or a later one, and ``below[x][i]`` the tops above some
+    edge before i.  As the view is graded, the lexicographically minimal
+    chain of [x, y] starts with the lowest-key edge x -> a with a <= y,
+    so edge i starts it exactly for the tops on or above its upper end
+    outside ``below[x][i]``.  ``lex_inc[x]`` holds the tops y whose
+    minimal chain from x rises.
     """
     if view.labels is None or any(l is None for l in view.labels.values()):
         return ELReport(applicable=False, is_el=False, violations=())
-    if not is_graded_bruteforce(view).graded:
+    graded = is_graded_bruteforce(view)
+    if not graded.graded:
         raise ValueError("view is not graded")
     tops = set(view.elements) - {a for a, _ in view.covers}
     bottoms = set(view.elements) - {b for _, b in view.covers}
@@ -138,19 +116,34 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
         if len({label for label, _ in edges}) != len(edges):
             raise ValueError(f"element {x} repeats a cover label")
 
+    m = len(view.elements)
+    keys, one, two, below, lex_inc = ([None] * m for _ in range(5))
     violations = []
-    for x, up_x in enumerate(up):
-        for y in bits(up_x):
-            increasing = _increasing_chains(out, up, x, y, order)
-            if len(increasing) != 1:
-                reason = "no-increasing-chain" if not increasing \
-                    else "multiple-increasing-chains"
-                violations.append((view.elements[x], view.elements[y], reason))
-                continue
-            if increasing[0] != _greedy_lex_min(out, up, x, y, order):
-                violations.append(
-                    (view.elements[x], view.elements[y], "increasing-not-lex-min")
-                )
+    for x in sorted(range(m), key=lambda i: -graded.ranks[view.elements[i]]):
+        edges = sorted((order.key(label), a) for label, a in out[x])
+        keys[x] = [k for k, _ in edges]
+        # first edge out of a that keeps a chain entering a by key k rising
+        starts = [bisect_left(keys[a], k) for k, a in edges]
+        one[x], two[x] = [0] * (len(edges) + 1), [0] * (len(edges) + 1)
+        for i in reversed(range(len(edges))):
+            a, j = edges[i][1], starts[i]
+            c1 = 1 << a | one[a][j]
+            two[x][i] = two[x][i + 1] | two[a][j] | (one[x][i + 1] & c1)
+            one[x][i] = one[x][i + 1] | c1
+        below[x], lex_inc[x] = [0], 0
+        for (_, a), j in zip(edges, starts):
+            reach = 1 << a | up[a]
+            first = reach & ~below[x][-1]
+            lex_inc[x] |= first & (1 << a | (lex_inc[a] & ~below[a][j]))
+            below[x].append(below[x][-1] | reach)
+        rising, several = one[x][0], two[x][0]
+        for reason, tops_x in (
+            ("no-increasing-chain", up[x] & ~rising),
+            ("multiple-increasing-chains", several),
+            ("increasing-not-lex-min", rising & ~several & ~lex_inc[x]),
+        ):
+            violations += [(view.elements[x], view.elements[y], reason)
+                           for y in bits(tops_x)]
     return _report(violations)
 
 

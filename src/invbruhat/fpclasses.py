@@ -121,7 +121,8 @@ def in_class(p: Perm, spec: FixedPointSpec) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+# 64 holds every count set of one size up to n = 11 at once.
+@lru_cache(maxsize=64)
 def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
     """The class elements in lexicographic word order."""
     return tuple(p for p in enumerate_involutions(spec.n)

@@ -14,6 +14,7 @@ whenever it is unambiguous; parse/format round-trips are exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations as _all_perms
 from typing import Iterator, Sequence
 
@@ -121,6 +122,7 @@ def iter_involutions(n: int) -> Iterator[Perm]:
     yield from extend(tuple(range(1, n + 1)))
 
 
+@lru_cache(maxsize=8)
 def enumerate_involutions(n: int) -> tuple[Perm, ...]:
     """All involutions of S_n, in lexicographic order of one-line words."""
     return tuple(sorted(iter_involutions(n)))

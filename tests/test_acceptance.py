@@ -199,14 +199,14 @@ def test_c07_el_labellings():
         report = el_check(view, LabelOrder.REVERSED_LEX)
         assert report.applicable and report.is_el, n
     assert len(enumerate_class(make_spec(8, {0}))) == 105
-    for n in range(2, 6):
+    for n in range(2, 9):
         spec = make_spec(n, set(range(n % 2, n + 1, 2)))
         view = labelled_class_view(spec)
         report = el_check(view, LabelOrder.STANDARD_LEX)
         assert report.applicable and report.is_el, n
     announce(7, "reversed-lex labelling is EL on the fixed-point-free class "
                 "for n in {2,4,6,8} (105 elements at n = 8); standard-lex "
-                "is EL on the involution order for n <= 5")
+                "is EL on the involution order for n <= 8")
 
 
 def test_c08_decreasing_chains_stay_fixed_point_free():

@@ -128,6 +128,9 @@ def test_one_class_at_the_largest_sizes_completes():
     code, text = run_cli(["enumerate", "--n", "12", "--classes", "12"])
     assert code == 0
     assert json.loads(text)["word"] == "1,2,3,4,5,6,7,8,9,10,11,12"
+    code, text = run_cli(["el-verify", "--n", "10", "--classes", "0"])
+    assert code == 0
+    assert json.loads(text)["is_el"] is True
 
 
 def test_el_verify_pass_fail_and_not_applicable():

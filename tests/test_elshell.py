@@ -10,6 +10,7 @@ from invbruhat.elshell import (
     labelled_class_view,
 )
 from invbruhat.fpclasses import all_specs, make_spec
+from invbruhat.moves import Label
 from invbruhat.perms import enumerate_involutions, num_fixed_points, parse_perm
 
 
@@ -81,6 +82,63 @@ def test_el_check_agrees_with_enumeration():
         slow = el_check_by_enumeration(view, order)
         assert (fast.applicable, fast.is_el, fast.violations) \
             == (slow.applicable, slow.is_el, slow.violations)
+
+
+def test_el_check_matches_enumeration_on_every_case_up_to_n6():
+    # I_6 is left out: its longest intervals have more chains than the
+    # oracle's 10,000-chain guard allows
+    whole_order_6 = frozenset({0, 2, 4, 6})
+    compared = 0
+    for n in range(1, 7):
+        for spec in all_specs(n):
+            if spec.n == 6 and spec.counts == whole_order_6:
+                continue
+            view = labelled_class_view(spec)
+            for order in LabelOrder:
+                try:
+                    fast = el_check(view, order)
+                except ValueError:
+                    continue  # an unbounded class has no EL question
+                if not fast.applicable:
+                    continue
+                assert fast == el_check_by_enumeration(view, order), \
+                    (spec, order)
+                compared += 1
+    assert compared == 34
+
+
+def test_el_check_pins_the_standard_lex_failures_on_fpf_classes():
+    for n, count in ((6, 40), (8, 2081)):
+        view = labelled_class_view(make_spec(n, {0}))
+        report = el_check(view, LabelOrder.STANDARD_LEX)
+        assert len(report.violations) == count
+        assert {why for _, _, why in report.violations} \
+            == {"no-increasing-chain"}
+
+
+def diamond(left: tuple[Label, Label], right: tuple[Label, Label]) -> PosetView:
+    """Bottom 1234 and top 2143 joined through 2134 (left) and 1243
+    (right), each edge carrying the given label."""
+    bottom, b, c, top = words("1234", "2134", "1243", "2143")
+    return PosetView(
+        elements=(bottom, c, b, top),
+        covers=((bottom, b), (b, top), (bottom, c), (c, top)),
+        labels={(bottom, b): left[0], (b, top): left[1],
+                (bottom, c): right[0], (c, top): right[1]},
+    )
+
+
+@pytest.mark.parametrize("left, right, reason", [
+    # both chains rise
+    (((1, 2), (3, 4)), ((2, 3), (3, 5)), "multiple-increasing-chains"),
+    # only the right chain rises, but the left one is lex-smaller
+    (((1, 2), (1, 1)), ((2, 3), (3, 4)), "increasing-not-lex-min"),
+])
+def test_el_check_reports_each_reason_on_a_diamond(left, right, reason):
+    view = diamond(left, right)
+    report = el_check(view, LabelOrder.STANDARD_LEX)
+    assert report.violations == ((view.elements[0], view.elements[3], reason),)
+    assert report == el_check_by_enumeration(view, LabelOrder.STANDARD_LEX)
 
 
 def test_el_check_not_applicable_with_unlabelled_covers():
