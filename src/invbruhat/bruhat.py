@@ -8,7 +8,10 @@ every dot-table entry of v is <= the corresponding entry of w.
 ``PosetView`` holds elements and covering edges and derives the index
 and the up- and down-set bitmasks; ``restrict`` reads off the order
 induced on a subset, so a class view is the involution order (built
-from the covering moves) restricted to the class.  ``UniverseIndex``
+from the covering moves) restricted to the class.  A view lists its
+elements in a linear extension, so every walk over the order walks the
+positions.  Word order is one: if v < w differ first at position i, the
+dot criterion on row i gives v(i) < w(i).  ``UniverseIndex``
 and ``poset_view`` compute the order on an explicit universe by the dot
 criterion alone: they are the oracle the covering moves are checked
 against.
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from graphlib import CycleError, TopologicalSorter
 from typing import Iterator
 
 from .perms import Perm, inversions
@@ -89,10 +91,11 @@ def bits(mask: int) -> Iterator[int]:
 class PosetView:
     """A finite poset given by its elements and covering edges.
 
-    An edge (x, y) means y covers x.  ``labels`` maps a covering edge to
-    its rise label when one is known (an edge of the ambient involution
-    order) and to None otherwise.  The derived members are computed on
-    first use and cached.
+    An edge (x, y) means y covers x.  The elements are listed in a linear
+    extension: x comes before y for every edge (x, y).  ``labels`` maps a
+    covering edge to its rise label when one is known (an edge of the
+    ambient involution order) and to None otherwise.  The derived
+    members are computed on first use and cached.
     """
 
     elements: tuple[Perm, ...]
@@ -105,46 +108,48 @@ class PosetView:
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        """The covers as sorted position pairs (i, j); ValueError unless
+        every i < j."""
+        edges = sorted((self.index[a], self.index[b]) for a, b in self.covers)
+        if any(i >= j for i, j in edges):
+            raise ValueError("a cover does not go up in position")
+        return edges
+
+    @cached_property
     def up(self) -> tuple[int, ...]:
         """Strict up-set of each element as a bitmask over positions."""
-        return self._reach(self.covers)
+        up = [0] * len(self.elements)
+        for i, j in reversed(self.edges):  # edges out of j > i came first
+            up[i] |= 1 << j | up[j]
+        return tuple(up)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
         """Strict down-set of each element as a bitmask over positions."""
-        return self._reach((b, a) for a, b in self.covers)
-
-    def _reach(self, edges) -> tuple[int, ...]:
-        """Transitive closure of ``edges`` as bitmasks, taken in reverse
-        topological order.  A cycle raises ValueError."""
-        after: dict[int, list[int]] = {i: [] for i in range(len(self.elements))}
-        for a, b in edges:
-            after[self.index[a]].append(self.index[b])
-        reach = [0] * len(after)
-        try:
-            # edge targets come out first, so their masks are final
-            for i in TopologicalSorter(after).static_order():
-                for j in after[i]:
-                    reach[i] |= (1 << j) | reach[j]
-        except CycleError:
-            raise ValueError("covering graph has a cycle; not a poset view") from None
-        return tuple(reach)
+        down = [0] * len(self.elements)
+        for i, j in self.edges:  # edges into i start below i, so came first
+            down[j] |= 1 << i | down[i]
+        return tuple(down)
 
     def restrict(self, subset) -> PosetView:
-        """The order induced on ``subset`` of the elements, unlabelled.
+        """The order induced on ``subset`` of the elements, unlabelled,
+        listed in this view's order.
 
-        y covers x in the subset iff y is above x and no subset element
-        lies strictly between them.
+        The highest position below y in the subset is a maximal element
+        there, so a lower cover of y; peeling it off with its down-set
+        and repeating yields each lower cover once.
         """
-        index, up, down = self.index, self.up, self.down
-        elements = tuple(sorted(set(subset)))
+        index, down = self.index, self.down
+        elements = tuple(sorted(set(subset), key=index.__getitem__))
         mask = sum(1 << index[p] for p in elements)
         covers = []
-        for x in elements:
-            above = up[index[x]] & mask
-            for j in bits(above):
-                if not above & down[j]:
-                    covers.append((x, self.elements[j]))
+        for y in elements:
+            below = down[index[y]] & mask
+            while below:
+                x = below.bit_length() - 1
+                covers.append((self.elements[x], y))
+                below &= ~(1 << x | down[x])
         return PosetView(elements=elements, covers=tuple(sorted(covers)))
 
 
@@ -181,8 +186,6 @@ class UniverseIndex:
                     down[j] |= 1 << i
         self.up = up
         self.down = down
-
-    bits = staticmethod(bits)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) where j covers i in the induced order."""

@@ -9,7 +9,7 @@ ambient involution order when they are covers there; covers that jump
 more than one ambient rank carry no label and make EL verification
 inapplicable.
 
-``el_check`` takes the bottoms x in descending rank and makes one pass
+``el_check`` takes the bottoms x in descending position and makes one pass
 over x's out-edges in label-key order.  From the sets already built for
 x's upper covers it builds, as int bitmasks over the view's positions,
 the tops y reached from x by at least one and by at least two weakly
@@ -104,8 +104,7 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     """
     if view.labels is None or any(l is None for l in view.labels.values()):
         return ELReport(applicable=False, is_el=False, violations=())
-    graded = is_graded_bruteforce(view)
-    if not graded.graded:
+    if not is_graded_bruteforce(view).graded:
         raise ValueError("view is not graded")
     tops = set(view.elements) - {a for a, _ in view.covers}
     bottoms = set(view.elements) - {b for _, b in view.covers}
@@ -117,9 +116,11 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
             raise ValueError(f"element {x} repeats a cover label")
 
     m = len(view.elements)
+    # an element's sets are last read by its lowest lower cover
+    last_reader = {j: i for i, j in reversed(view.edges)}
     keys, one, two, below, lex_inc = ([None] * m for _ in range(5))
     violations = []
-    for x in sorted(range(m), key=lambda i: -graded.ranks[view.elements[i]]):
+    for x in reversed(range(m)):  # upper covers come first
         edges = sorted((order.key(label), a) for label, a in out[x])
         keys[x] = [k for k, _ in edges]
         # first edge out of a that keeps a chain entering a by key k rising
@@ -144,6 +145,9 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
         ):
             violations += [(view.elements[x], view.elements[y], reason)
                            for y in bits(tops_x)]
+        for _, a in edges:
+            if last_reader[a] == x:
+                keys[a] = one[a] = two[a] = below[a] = lex_inc[a] = None
     return _report(violations)
 
 

@@ -11,7 +11,13 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from invbruhat.bruhat import PosetView, UniverseIndex, bruhat_leq, poset_view
+from invbruhat.bruhat import (
+    PosetView,
+    UniverseIndex,
+    bits,
+    bruhat_leq,
+    poset_view,
+)
 from invbruhat.chains import (
     increasing_chain,
     decreasing_chain,
@@ -86,7 +92,7 @@ def comparable_pairs(idx: UniverseIndex, elements=None):
     for i, p in enumerate(idx.elements):
         if pool is not None and i not in pool:
             continue
-        for j in idx.bits(idx.up[i]):
+        for j in bits(idx.up[i]):
             if pool is None or j in pool:
                 yield p, idx.elements[j]
 

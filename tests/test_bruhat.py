@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invbruhat.bruhat import (
+    PosetView,
     UniverseIndex,
+    bits,
     bruhat_leq,
     bruhat_less,
     dot_table,
     interval,
     poset_view,
 )
+from invbruhat.fpclasses import is_graded_bruteforce
 from invbruhat.perms import (
     enumerate_involutions,
     format_perm,
@@ -106,7 +109,7 @@ def test_order_axioms_exhaustive_small():
 def test_transitivity_via_upsets_n5():
     idx = UniverseIndex(permutations(range(1, 6)))
     for i in range(len(idx.elements)):
-        for j in idx.bits(idx.up[i]):
+        for j in bits(idx.up[i]):
             # everything above j must be above i
             assert idx.up[j] & ~idx.up[i] == 0
 
@@ -183,3 +186,16 @@ def test_poset_view_cover_can_skip_ambient_rank():
 def test_poset_view_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         poset_view([(1, 2), (1, 2, 3)])
+
+
+@pytest.mark.parametrize("covers", [
+    (("123", "213"), ("213", "132")),  # 213 -> 132 goes down in position
+    (("123", "132"), ("132", "123")),  # a 2-cycle
+])
+def test_view_whose_covers_do_not_go_up_in_position_is_rejected(covers):
+    covers = tuple(words(*pair) for pair in covers)
+    for read in (lambda v: v.down, lambda v: v.up,
+                 lambda v: v.restrict(v.elements), is_graded_bruteforce):
+        view = PosetView(elements=words("123", "132", "213"), covers=covers)
+        with pytest.raises(ValueError):
+            read(view)

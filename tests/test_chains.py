@@ -1,6 +1,6 @@
 import pytest
 
-from invbruhat.bruhat import UniverseIndex
+from invbruhat.bruhat import UniverseIndex, bits
 from invbruhat.chains import (
     Chain,
     ChainGuardExceeded,
@@ -22,7 +22,7 @@ def words(*texts):
 def comparable_pairs(n):
     idx = UniverseIndex(enumerate_involutions(n))
     for i, p in enumerate(idx.elements):
-        for j in idx.bits(idx.up[i]):
+        for j in bits(idx.up[i]):
             yield p, idx.elements[j]
 
 

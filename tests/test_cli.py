@@ -1,10 +1,13 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invbruhat.cli import build_parser, main
+from invbruhat.perms import enumerate_involutions, format_perm
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,6 +134,10 @@ def test_one_class_at_the_largest_sizes_completes():
     code, text = run_cli(["el-verify", "--n", "10", "--classes", "0"])
     assert code == 0
     assert json.loads(text)["is_el"] is True
+    code, text = run_cli(["check-graded", "--n", "10",
+                          "--classes", "0,2,4,6,8,10"])
+    assert code == 0
+    assert json.loads(text)["status"] == "pass"
 
 
 def test_el_verify_pass_fail_and_not_applicable():
@@ -173,3 +180,58 @@ def test_main_smoke(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith('digraph "F_4^{0}"')
     assert "elapsed" in captured.err
+
+
+@st.composite
+def _argv(draw):
+    """Argument lists for every subcommand at small sizes, good and bad."""
+    command = draw(st.sampled_from(["enumerate", "hasse", "check-graded",
+                                    "chains", "el-verify", "counterexample"]))
+    sizes = st.integers(-1, 5)
+    if command == "counterexample":  # the witnesses start at n = 6
+        sizes |= st.integers(6, 8)
+    n = draw(sizes)
+    argv = [command, "--n", str(n)]
+    if command == "chains":
+        words = [format_perm(p) for p in enumerate_involutions(max(n, 1))]
+        words += ["", "x", "2314", "1,2", "12345"]
+        argv += ["--from", draw(st.sampled_from(words)),
+                 "--to", draw(st.sampled_from(words)), "--kind",
+                 draw(st.sampled_from(["increasing", "decreasing", "all"]))]
+    elif command == "counterexample":
+        argv += ["--prop", draw(st.sampled_from(["19", "20"])),
+                 "--i", str(draw(st.integers(-1, 4)))]
+        argv += draw(st.sampled_from([[], ["--m", "1"], ["--m", "0"]]))
+    else:
+        classes = st.lists(st.integers(-1, 6), min_size=1, max_size=3)
+        if n >= 0:
+            good = range(n % 2, n + 1, 2)
+            classes |= st.lists(st.sampled_from(good), min_size=1, max_size=3)
+        argv += draw(st.one_of(
+            st.sampled_from([["--all-classes"], [], ["--classes="],
+                             ["--classes=x"], ["--classes=0,,2"]]),
+            classes.map(lambda c: ["--classes=" + ",".join(map(str, c))]),
+        ))
+        if command == "enumerate":
+            argv += draw(st.sampled_from([[], ["--format", "tsv"]]))
+        if command == "el-verify":
+            argv += draw(st.sampled_from([[], ["--order", "standard-lex"],
+                                          ["--order", "reversed-lex"]]))
+    return argv
+
+
+def _run_main(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_contract_on_small_inputs(argv):
+    code, text = _run_main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert text == ""
+    assert _run_main(argv) == (code, text)

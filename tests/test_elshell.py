@@ -1,6 +1,6 @@
 import pytest
 
-from invbruhat.bruhat import PosetView, UniverseIndex
+from invbruhat.bruhat import PosetView, UniverseIndex, bits
 from invbruhat.elshell import (
     LabelOrder,
     el_check,
@@ -22,7 +22,7 @@ def fpf_pairs(n):
     universe = [p for p in enumerate_involutions(n) if num_fixed_points(p) == 0]
     idx = UniverseIndex(universe)
     for i, p in enumerate(idx.elements):
-        for j in idx.bits(idx.up[i]):
+        for j in bits(idx.up[i]):
             yield p, idx.elements[j]
 
 
