@@ -16,8 +16,8 @@ from .perms import (
     reversal,
     statistics,
 )
-from .bruhat import PosetView, bruhat_leq, dot_table, interval, poset_view
-from .moves import RiseClass, classify_rise, covers, ct, ict
+from .bruhat import PosetView, bruhat_leq, dot_table, poset_view
+from .moves import RiseClass, classify_rise, covers, ct
 from .chains import (
     Chain,
     all_saturated_chains,
@@ -71,10 +71,8 @@ __all__ = [
     "format_perm",
     "fpf_decreasing_chain",
     "gapped_counts_witness",
-    "ict",
     "identity",
     "increasing_chain",
-    "interval",
     "is_graded_bruteforce",
     "is_graded_rule",
     "is_involution",

@@ -7,14 +7,14 @@ every dot-table entry of v is <= the corresponding entry of w.
 
 ``PosetView`` holds elements and covering edges and derives the index
 and the up- and down-set bitmasks; ``restrict`` reads off the order
-induced on a subset, so a class view is the involution order (built
-from the covering moves) restricted to the class.  A view lists its
-elements in a linear extension, so every walk over the order walks the
-positions.  Word order is one: if v < w differ first at position i, the
-dot criterion on row i gives v(i) < w(i).  ``UniverseIndex``
-and ``poset_view`` compute the order on an explicit universe by the dot
-criterion alone: they are the oracle the covering moves are checked
-against.
+induced on a subset, so a class view is the involution order (built from
+the covering moves) restricted to the class.  Covers are sorted position
+pairs (i, j) with i < j, so a view lists its elements in a linear
+extension and every walk over the order walks the positions.  Word order
+is one: if v < w differ first at position i, the dot criterion on row i
+gives v(i) < w(i).  ``UniverseIndex`` and ``poset_view`` compute the
+order on an explicit universe by the dot criterion alone: they are the
+oracle the covering moves are checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .perms import Perm, inversions
 Label = tuple[int, int]
 
 
-@lru_cache(maxsize=None)
+# 1 << 14 entries hold all 9,496 involutions of size 10.
+@lru_cache(maxsize=1 << 14)
 def dot_table(p: Perm) -> tuple[tuple[int, ...], ...]:
     """The n x n grid of counts w[k, l] = |{i <= k : w(i) >= l}|.
 
@@ -46,7 +47,7 @@ def dot_table(p: Perm) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _flat_table(p: Perm) -> tuple[int, ...]:
     return tuple(entry for row in dot_table(p) for entry in row)
 
@@ -66,19 +67,6 @@ def bruhat_less(p: Perm, q: Perm) -> bool:
     return p != q and bruhat_leq(p, q)
 
 
-def interval(p: Perm, q: Perm, universe) -> tuple[Perm, ...]:
-    """All z in ``universe`` with p <= z <= q, endpoints included.
-
-    Raises if p is not below q; the universe is any iterable of
-    permutations of the same size.
-    """
-    if not bruhat_leq(p, q):
-        raise ValueError(f"{p} is not <= {q} in Bruhat order")
-    return tuple(
-        sorted(z for z in universe if bruhat_leq(p, z) and bruhat_leq(z, q))
-    )
-
-
 def bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -91,16 +79,24 @@ def bits(mask: int) -> Iterator[int]:
 class PosetView:
     """A finite poset given by its elements and covering edges.
 
-    An edge (x, y) means y covers x.  The elements are listed in a linear
-    extension: x comes before y for every edge (x, y).  ``labels`` maps a
-    covering edge to its rise label when one is known (an edge of the
-    ambient involution order) and to None otherwise.  The derived
-    members are computed on first use and cached.
+    ``covers`` holds the sorted position pairs (i, j), i < j, such that
+    ``elements[j]`` covers ``elements[i]``.  ``labels`` is None or aligned
+    with ``covers``: a cover's rise label when it is a cover of the ambient
+    involution order, else None.  Both are checked on construction; the
+    derived members are computed on first use and cached.
     """
 
     elements: tuple[Perm, ...]
-    covers: tuple[tuple[Perm, Perm], ...]
-    labels: dict[tuple[Perm, Perm], Label | None] | None = None
+    covers: tuple[tuple[int, int], ...]
+    labels: tuple[Label | None, ...] | None = None
+
+    def __post_init__(self):
+        m, covers = len(self.elements), self.covers
+        if any(not 0 <= i < j < m for i, j in covers) \
+                or any(a >= b for a, b in zip(covers, covers[1:])):
+            raise ValueError("covers are not sorted upward position pairs")
+        if self.labels is not None and len(self.labels) != len(covers):
+            raise ValueError("labels are not aligned with covers")
 
     @cached_property
     def index(self) -> dict[Perm, int]:
@@ -108,19 +104,10 @@ class PosetView:
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        """The covers as sorted position pairs (i, j); ValueError unless
-        every i < j."""
-        edges = sorted((self.index[a], self.index[b]) for a, b in self.covers)
-        if any(i >= j for i, j in edges):
-            raise ValueError("a cover does not go up in position")
-        return edges
-
-    @cached_property
     def up(self) -> tuple[int, ...]:
         """Strict up-set of each element as a bitmask over positions."""
         up = [0] * len(self.elements)
-        for i, j in reversed(self.edges):  # edges out of j > i came first
+        for i, j in reversed(self.covers):  # covers out of j > i came first
             up[i] |= 1 << j | up[j]
         return tuple(up)
 
@@ -128,7 +115,7 @@ class PosetView:
     def down(self) -> tuple[int, ...]:
         """Strict down-set of each element as a bitmask over positions."""
         down = [0] * len(self.elements)
-        for i, j in self.edges:  # edges into i start below i, so came first
+        for i, j in self.covers:  # covers into i start below i, so came first
             down[j] |= 1 << i | down[i]
         return tuple(down)
 
@@ -141,16 +128,18 @@ class PosetView:
         and repeating yields each lower cover once.
         """
         index, down = self.index, self.down
-        elements = tuple(sorted(set(subset), key=index.__getitem__))
-        mask = sum(1 << index[p] for p in elements)
+        where = sorted({index[p] for p in subset})
+        mask = sum(1 << i for i in where)
+        local = {i: k for k, i in enumerate(where)}
         covers = []
-        for y in elements:
-            below = down[index[y]] & mask
+        for k, y in enumerate(where):
+            below = down[y] & mask
             while below:
                 x = below.bit_length() - 1
-                covers.append((self.elements[x], y))
+                covers.append((local[x], k))
                 below &= ~(1 << x | down[x])
-        return PosetView(elements=elements, covers=tuple(sorted(covers)))
+        return PosetView(elements=tuple(self.elements[i] for i in where),
+                         covers=tuple(sorted(covers)))
 
 
 class UniverseIndex:
@@ -205,7 +194,4 @@ def poset_view(universe) -> PosetView:
     strictly between.
     """
     idx = UniverseIndex(universe)
-    covers = tuple(
-        sorted((idx.elements[i], idx.elements[j]) for i, j in idx.cover_pairs())
-    )
-    return PosetView(elements=idx.elements, covers=covers)
+    return PosetView(elements=idx.elements, covers=tuple(idx.cover_pairs()))

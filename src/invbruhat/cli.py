@@ -115,12 +115,11 @@ def cmd_hasse(args, out) -> int:
     name = spec.describe()
     out.write(f'digraph "{name}" {{\n')
     out.write("  rankdir=BT;\n")
-    for p in view.elements:
-        out.write(f'  "{format_perm(p)}";\n')
-    for a, b in view.covers:
-        label = view.labels[(a, b)]
+    words = [format_perm(p) for p in view.elements]
+    out.writelines(f'  "{word}";\n' for word in words)
+    for (i, j), label in zip(view.covers, view.labels):
         attr = f' [label="({label[0]},{label[1]})"]' if label else ""
-        out.write(f'  "{format_perm(a)}" -> "{format_perm(b)}"{attr};\n')
+        out.write(f'  "{words[i]}" -> "{words[j]}"{attr};\n')
     out.write("}\n")
     return 0
 

@@ -66,17 +66,16 @@ def labelled_class_view(spec: FixedPointSpec) -> PosetView:
     """Class covering graph with each cover carrying its rise label when
     it is also a cover of the full involution order, else None."""
     view = class_view(spec)
-    labels: dict[tuple[Perm, Perm], Label | None] = {}
-    for x, y in view.covers:
-        labels[(x, y)] = cover_map(x).get(y)
-    return PosetView(elements=view.elements, covers=view.covers, labels=labels)
+    e = view.elements
+    labels = tuple(cover_map(e[i]).get(e[j]) for i, j in view.covers)
+    return PosetView(elements=e, covers=view.covers, labels=labels)
 
 
 def _labelled_out_edges(view: PosetView) -> list[list[tuple[Label, int]]]:
     """(label, position of the upper cover) for each element's covers."""
     out: list[list[tuple[Label, int]]] = [[] for _ in view.elements]
-    for (a, b), label in view.labels.items():
-        out[view.index[a]].append((label, view.index[b]))
+    for (i, j), label in zip(view.covers, view.labels):
+        out[i].append((label, j))
     return out
 
 
@@ -102,22 +101,22 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     outside ``below[x][i]``.  ``lex_inc[x]`` holds the tops y whose
     minimal chain from x rises.
     """
-    if view.labels is None or any(l is None for l in view.labels.values()):
+    if view.labels is None or None in view.labels:
         return ELReport(applicable=False, is_el=False, violations=())
     if not is_graded_bruteforce(view).graded:
         raise ValueError("view is not graded")
-    tops = set(view.elements) - {a for a, _ in view.covers}
-    bottoms = set(view.elements) - {b for _, b in view.covers}
-    if len(bottoms) != 1 or len(tops) != 1:
+    m = len(view.elements)
+    has_upper = {i for i, _ in view.covers}
+    has_lower = {j for _, j in view.covers}
+    if len(has_upper) != m - 1 or len(has_lower) != m - 1:
         raise ValueError("view is not bounded")
     out, up = _labelled_out_edges(view), view.up
     for x, edges in zip(view.elements, out):
         if len({label for label, _ in edges}) != len(edges):
             raise ValueError(f"element {x} repeats a cover label")
 
-    m = len(view.elements)
     # an element's sets are last read by its lowest lower cover
-    last_reader = {j: i for i, j in reversed(view.edges)}
+    last_reader = {j: i for i, j in reversed(view.covers)}
     keys, one, two, below, lex_inc = ([None] * m for _ in range(5))
     violations = []
     for x in reversed(range(m)):  # upper covers come first
@@ -154,7 +153,7 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
 def el_check_by_enumeration(view: PosetView, order: LabelOrder,
                             max_chains: int = 10_000) -> ELReport:
     """Oracle twin of ``el_check`` that lists every chain per interval."""
-    if view.labels is None or any(l is None for l in view.labels.values()):
+    if view.labels is None or None in view.labels:
         return ELReport(applicable=False, is_el=False, violations=())
     if not is_graded_bruteforce(view).graded:
         raise ValueError("view is not graded")

@@ -19,9 +19,9 @@ first, so ct(w)(x) = w(c(x))):
     T1: c = (i j)            T2: c = (i j w(j))     T3: c = (i j w(i))
     T4: c = (i j)(w(i) w(j)) T5: c = (i j w(j) w(i)) T6: c = (i j)(w(i) w(j))
 
-``covers`` lists all moves of w; ``ict`` inverts a move when a preimage
-exists.  The moves generate exactly the covering relation of the Bruhat
-order on involutions, which the test suite checks against an
+``covers`` lists all moves of w, and ``cover_map`` keys their labels by
+upper cover.  The moves generate exactly the covering relation of the
+Bruhat order on involutions, which the test suite checks against an
 order-theoretic oracle.
 """
 
@@ -57,18 +57,13 @@ SUITABLE = frozenset({
 })
 
 
-def _check_label(p: Perm, label: Label) -> None:
-    i, j = label
-    if not (1 <= i < j <= len(p)):
-        raise ValueError(f"bad index pair {label} for size {len(p)}")
-
-
 def classify_rise(p: Perm, label: Label) -> RiseClass:
     """Classify the pair ``label`` = (i, j), i < j, for the involution p."""
     if not is_involution(p):
         raise ValueError(f"not an involution: {p}")
-    _check_label(p, label)
     i, j = label
+    if not (1 <= i < j <= len(p)):
+        raise ValueError(f"bad index pair {label} for size {len(p)}")
     vi, vj = p[i - 1], p[j - 1]
     if vi >= vj:
         return RiseClass.NOT_A_RISE
@@ -121,7 +116,8 @@ def ct(p: Perm, label: Label) -> Perm:
     return _apply_cycles(p, (i, j), (vi, vj))
 
 
-@lru_cache(maxsize=None)
+# 1 << 14 entries hold all 9,496 involutions of size 10.
+@lru_cache(maxsize=1 << 14)
 def covers(p: Perm) -> tuple[tuple[Label, Perm], ...]:
     """All covering moves of p, sorted by label: the upper covers of p
     in the Bruhat order on involutions."""
@@ -144,54 +140,3 @@ def cover_map(p: Perm) -> dict[Perm, Label]:
             raise AssertionError(f"two labels produce the same cover of {p}")
         out[q] = label
     return out
-
-
-def _ict_candidates(q: Perm, label: Label):
-    """Candidate preimages of q under a move at ``label``, one per move
-    shape.  Inverting each shape determines the preimage from q's values
-    at i, j, except that shapes T3 and T5 leave one point to recover by
-    scanning the fixed points of q strictly between i and j."""
-    i, j = label
-    qi, qj = q[i - 1], q[j - 1]
-    yield _apply_cycles(q, (i, j))                      # T1
-    if qi > j:
-        yield _apply_cycles(q, (qi, j, i))              # T2: w(j) = q(i)
-    if len({i, j, qi, qj}) == 4:
-        yield _apply_cycles(q, (i, j), (qj, qi))        # T4/T6: w(i)=q(j), w(j)=q(i)
-    for mid in range(i + 1, j):
-        if q[mid - 1] == mid:
-            yield _apply_cycles(q, (mid, j, i))          # T3: w(i) = mid
-            if qi > j:
-                yield _apply_cycles(q, (mid, qi, j, i))  # T5: w(i)=mid, w(j)=q(i)
-
-
-def ict(q: Perm, label: Label) -> Perm | None:
-    """The unique involution p with ct(p, label) = q, or None.
-
-    ``label`` must be an inversion of q; every candidate preimage is
-    validated by replaying the forward move.
-    """
-    if not is_involution(q):
-        raise ValueError(f"not an involution: {q}")
-    _check_label(q, label)
-    i, j = label
-    if q[i - 1] <= q[j - 1]:
-        raise ValueError(f"{label} is not an inversion of {q}")
-    found: set[Perm] = set()
-    for p in _ict_candidates(q, label):
-        if p in found or not is_involution(p):
-            continue
-        if classify_rise(p, label) in SUITABLE and ct(p, label) == q:
-            found.add(p)
-    if len(found) > 1:
-        raise AssertionError(f"move at {label} into {q} has several preimages")
-    return found.pop() if found else None
-
-
-def ict_bruteforce(q: Perm, label: Label, universe) -> Perm | None:
-    """Oracle for ict: scan an explicit set of involutions."""
-    found = [p for p in universe
-             if classify_rise(p, label) in SUITABLE and ct(p, label) == q]
-    if len(found) > 1:
-        raise AssertionError(f"move at {label} into {q} has several preimages")
-    return found[0] if found else None

@@ -28,6 +28,8 @@ def run_cli(argv):
      "counterexample_19.json"),
     (["counterexample", "--prop", "20", "--n", "6", "--i", "2", "--m", "1"],
      "counterexample_20.json"),
+    # 6 of its 107 covers skip an ambient rank and carry no label
+    (["hasse", "--n", "6", "--classes", "2"], "hasse_F6_2.dot"),
 ])
 def test_golden_outputs(argv, golden):
     code, text = run_cli(argv)

@@ -82,8 +82,8 @@ def test_is_graded_bruteforce_examples():
 def test_is_graded_bruteforce_unequal_heights():
     # two maximal chains of different lengths through shared bottom
     a, b, c, d = words("1234", "2134", "2143", "4321")
-    view = PosetView(elements=(a, b, c, d),
-                     covers=((a, b), (b, c), (a, d)))
+    view = PosetView(elements=(a, b, c, d),  # covers a-b, b-c and a-d
+                     covers=((0, 1), (0, 3), (1, 2)))
     assert not is_graded_bruteforce(view).graded
 
 

@@ -1,0 +1,42 @@
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import invbruhat
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_cache_is_bounded():
+    cached = {}
+    for info in pkgutil.iter_modules(invbruhat.__path__):
+        module = importlib.import_module(f"invbruhat.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                cached[f"{info.name}.{name}"] = \
+                    value.cache_parameters()["maxsize"]
+    assert {"moves.covers", "bruhat.bruhat_leq"} <= set(cached)
+    assert all(size is not None for size in cached.values()), cached
+
+
+def test_benchmark_tracer_wraps_every_layer():
+    """A traced benchmark pass still finds every function it wraps and
+    the two caches whose statistics it reports."""
+    job = {"argvs": [["el-verify", "--n", "6", "--classes", "0"],
+                     ["el-verify", "--n", "5", "--all-classes"]],
+           "check": "el", "trace": True, "probe": False}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"),
+         repr(time.monotonic())],
+        input=json.dumps(job), capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["errors"] == {} and report["wrong"] == []
+    assert {"bruhat.leq", "moves.covers"} <= set(report["caches"])
