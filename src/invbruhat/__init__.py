@@ -16,7 +16,7 @@ from .perms import (
     reversal,
     statistics,
 )
-from .bruhat import PosetView, bruhat_leq, dot_table, poset_view
+from .bruhat import PosetView, bruhat_leq, poset_view
 from .moves import RiseClass, classify_rise, covers, ct
 from .chains import (
     Chain,
@@ -63,7 +63,6 @@ __all__ = [
     "ct",
     "decreasing_chain",
     "di",
-    "dot_table",
     "el_check",
     "enumerate_class",
     "enumerate_involutions",

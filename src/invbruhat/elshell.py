@@ -30,6 +30,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 
 from .bruhat import PosetView, bits, bruhat_less
 from .chains import Chain, decreasing_chain, increasing_chain
@@ -67,8 +69,11 @@ def labelled_class_view(spec: FixedPointSpec) -> PosetView:
     it is also a cover of the full involution order, else None."""
     view = class_view(spec)
     e = view.elements
-    labels = tuple(cover_map(e[i]).get(e[j]) for i, j in view.covers)
-    return PosetView(elements=e, covers=view.covers, labels=labels)
+    labels = []
+    for i, group in groupby(view.covers, key=itemgetter(0)):
+        upper = cover_map(e[i])  # once per lower end: covers are sorted
+        labels += [upper.get(e[j]) for _, j in group]
+    return PosetView(elements=e, covers=view.covers, labels=tuple(labels))
 
 
 def _labelled_out_edges(view: PosetView) -> list[list[tuple[Label, int]]]:

@@ -13,6 +13,7 @@ from invbruhat.bruhat import (
     poset_view,
 )
 from invbruhat.perms import (
+    MAX_N,
     enumerate_involutions,
     format_perm,
     identity,
@@ -60,23 +61,53 @@ def transposition_closure_leq(n):
     return reachable
 
 
+def entry(p, k, l):
+    """Entry (k, l), 1-based, of the packed dot table of p: the 5 bits at
+    5 * ((k-1) n + l - 1), guard bit included."""
+    return dot_table(p) >> 5 * ((k - 1) * len(p) + l - 1) & 0b11111
+
+
+def grid(p):
+    """Dot table of p straight from the definition |{i <= k : w(i) >= l}|,
+    indexed [k-1][l-1]."""
+    n = len(p)
+    return [[sum(1 for i in range(k) if p[i] >= l) for l in range(1, n + 1)]
+            for k in range(1, n + 1)]
+
+
 def test_dot_table_examples():
-    assert dot_table((1, 2, 3, 4))[1][1] == 1
-    assert dot_table((4, 2, 6, 1, 5, 3))[0][3] == 1
+    assert entry((1, 2, 3, 4), 2, 2) == 1
+    assert entry((4, 2, 6, 1, 5, 3), 1, 4) == 1
     for p in [(1, 2, 3), (3, 1, 2), (4, 2, 6, 1, 5, 3)]:
-        assert dot_table(p)[len(p) - 1][0] == len(p)
+        assert entry(p, len(p), 1) == len(p)
 
 
 def test_dot_table_monotone_in_both_indices():
     for p in permutations(range(1, 6)):
-        table = dot_table(p)
         n = len(p)
-        for k in range(n):
-            for l in range(n):
-                if k + 1 < n:
-                    assert table[k][l] <= table[k + 1][l]
-                if l + 1 < n:
-                    assert table[k][l] >= table[k][l + 1]
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                if k < n:
+                    assert entry(p, k, l) <= entry(p, k + 1, l)
+                if l < n:
+                    assert entry(p, k, l) >= entry(p, k, l + 1)
+
+
+def test_bruhat_leq_equals_entrywise_comparison_on_s5():
+    elements = list(permutations(range(1, 6)))
+    grids = {p: grid(p) for p in elements}
+    for p in elements:
+        for q in elements:
+            entrywise = all(a <= b for row_p, row_q in zip(grids[p], grids[q])
+                            for a, b in zip(row_p, row_q))
+            assert bruhat_leq(p, q) == entrywise, (p, q)
+
+
+def test_packed_table_holds_the_largest_size():
+    bottom, top = identity(MAX_N), reversal(MAX_N)
+    assert entry(top, MAX_N, 1) == MAX_N == 12
+    assert bruhat_leq(bottom, top)
+    assert not bruhat_leq(top, bottom)
 
 
 def test_bruhat_leq_examples():
