@@ -130,8 +130,10 @@ def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
 
 
 # Largest size whose whole involution order is built: at n = 10 its covers
-# take about 2 s and its down-sets 6 MB; at n = 11 the covers take about
-# 10 s, the down-sets 80 MB of bits and the process peaks at about 205 MB.
+# take about 0.4 s and its down-sets 6 MB; at n = 11 the covers take about
+# 1.5 s, the down-sets 80 MB of bits and the build peaks at about 205 MB.
+# n = 11 stays out although check-graded --n 11 --all-classes passes in
+# about 58 s at a 244 MB peak: el_check alone takes I_11 from 250 MB to 1.5 GB.
 MAX_VIEW_N = 10
 
 

@@ -19,10 +19,11 @@ first, so ct(w)(x) = w(c(x))):
     T1: c = (i j)            T2: c = (i j w(j))     T3: c = (i j w(i))
     T4: c = (i j)(w(i) w(j)) T5: c = (i j w(j) w(i)) T6: c = (i j)(w(i) w(j))
 
-``covers`` lists all moves of w, and ``cover_map`` keys their labels by
-upper cover.  The moves generate exactly the covering relation of the
-Bruhat order on involutions, which the test suite checks against an
-order-theoretic oracle.
+``covers`` finds the free rises in one scan per i: (i, j) is one iff
+w(i) < w(j) < ceiling, the least w(k) above w(i) with i < k < j, so each
+free rise, suitable or not, lowers the ceiling to w(j).  ``cover_map`` keys
+the labels by upper cover.  The moves give exactly the Bruhat covers of
+involutions, which the tests check against an order-theoretic oracle.
 """
 
 from __future__ import annotations
@@ -72,29 +73,35 @@ def classify_rise(p: Perm, label: Label) -> RiseClass:
     first = "f" if vi == i else ("e" if vi > i else "d")
     second = "f" if vj == j else ("e" if vj > j else "d")
     pattern = first + second
-    if pattern == "ff":
-        return RiseClass.TYPE1_FF
-    if pattern == "fe":
-        return RiseClass.TYPE2_FE
-    if pattern == "ef":
-        return RiseClass.TYPE3_EF
     if pattern == "ee":
         return RiseClass.TYPE5_EE_CROSSING if vi < j else RiseClass.TYPE4_EE_NONCROSSING
-    if pattern == "ed":
-        return RiseClass.TYPE6_ED
-    return RiseClass.UNSUITABLE
+    return {"ff": RiseClass.TYPE1_FF, "fe": RiseClass.TYPE2_FE,
+            "ef": RiseClass.TYPE3_EF, "ed": RiseClass.TYPE6_ED,
+            }.get(pattern, RiseClass.UNSUITABLE)
 
 
 def _apply_cycles(p: Perm, *cycles: tuple[int, ...]) -> Perm:
-    """Compose p with the given cycles applied first: result(x) = p(c(x))."""
-    image = {}
+    """Compose p with the given disjoint cycles applied first: p(c(x))."""
+    word = list(p)
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            image[a] = b
-    word = list(p)
-    for x, cx in image.items():
-        word[x - 1] = p[cx - 1]
+            word[a - 1] = p[b - 1]
     return tuple(word)
+
+
+def _move(p: Perm, i: int, j: int) -> Perm | None:
+    """The upper cover of p at the free rise (i, j) by the cycles its pattern
+    picks from the table above; None for a deficiency first or fd."""
+    vi, vj = p[i - 1], p[j - 1]
+    if vi < i or (vi == i and vj < j):
+        return None
+    if vi == i:
+        return _apply_cycles(p, (i, j) if vj == j else (i, j, vj))  # T1, T2
+    if vj == j:
+        return _apply_cycles(p, (i, j, vi))  # T3
+    if vi < j < vj:
+        return _apply_cycles(p, (i, j, vj, vi))  # T5
+    return _apply_cycles(p, (i, j), (vi, vj))  # T4, T6
 
 
 def ct(p: Perm, label: Label) -> Perm:
@@ -102,33 +109,26 @@ def ct(p: Perm, label: Label) -> Perm:
     kind = classify_rise(p, label)
     if kind not in SUITABLE:
         raise ValueError(f"{label} is not a suitable rise of {p}: {kind.value}")
-    i, j = label
-    vi, vj = p[i - 1], p[j - 1]
-    if kind is RiseClass.TYPE1_FF:
-        return _apply_cycles(p, (i, j))
-    if kind is RiseClass.TYPE2_FE:
-        return _apply_cycles(p, (i, j, vj))
-    if kind is RiseClass.TYPE3_EF:
-        return _apply_cycles(p, (i, j, vi))
-    if kind is RiseClass.TYPE5_EE_CROSSING:
-        return _apply_cycles(p, (i, j, vj, vi))
-    # T4 and T6 share the double-transposition shape.
-    return _apply_cycles(p, (i, j), (vi, vj))
+    return _move(p, *label)
 
 
 # 1 << 14 entries hold all 9,496 involutions of size 10.
 @lru_cache(maxsize=1 << 14)
 def covers(p: Perm) -> tuple[tuple[Label, Perm], ...]:
-    """All covering moves of p, sorted by label: the upper covers of p
-    in the Bruhat order on involutions."""
+    """All covering moves of p, sorted by label: the upper covers of p in
+    the Bruhat order on involutions.  One scan per i finds the free rises
+    (i, j) as p(i) < p(j) < ceiling, the least p(k) above p(i) for i < k < j."""
     if not is_involution(p):
         raise ValueError(f"not an involution: {p}")
-    n = len(p)
-    out = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if classify_rise(p, (i, j)) in SUITABLE:
-                out.append(((i, j), ct(p, (i, j))))
+    out, n = [], len(p)
+    for i, vi in enumerate(p, 1):
+        ceiling = n + 1
+        for j, vj in enumerate(p[i:], i + 1):
+            if vi < vj < ceiling:
+                ceiling = vj
+                q = _move(p, i, j)
+                if q is not None:
+                    out.append(((i, j), q))
     return tuple(out)
 
 

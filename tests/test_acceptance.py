@@ -107,7 +107,7 @@ def test_c01_involution_order_graded_with_rank_formula():
 
 
 def test_c02_covering_moves_equal_order_covers():
-    for n in range(1, 8):
+    for n in range(1, 9):
         move_edges = {
             (p, q) for p in enumerate_involutions(n) for _, q in covers(p)
         }
@@ -115,7 +115,7 @@ def test_c02_covering_moves_equal_order_covers():
         order_edges = {(view.elements[i], view.elements[j])
                        for i, j in view.covers}
         assert move_edges == order_edges, n
-    announce(2, "covering moves equal order-theoretic covers exactly, n <= 7")
+    announce(2, "covering moves equal order-theoretic covers exactly, n <= 8")
 
 
 def test_c03_chain_uniqueness_and_lex_minimality():

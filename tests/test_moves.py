@@ -97,6 +97,16 @@ def test_covers_examples():
     assert prop19[(2, 3)] == parse_perm("143265")
 
 
+def test_covers_equal_definition_route():
+    # The one-scan covers against every pair classified by the definition.
+    for n in range(1, 11):
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        for p in enumerate_involutions(n):
+            expected = tuple((label, ct(p, label)) for label in pairs
+                             if classify_rise(p, label) in SUITABLE)
+            assert covers(p) == expected, p
+
+
 def test_covers_sorted_by_label():
     for p in enumerate_involutions(5):
         labels = [label for label, _ in covers(p)]
