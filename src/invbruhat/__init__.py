@@ -22,7 +22,6 @@ from .chains import (
     Chain,
     all_saturated_chains,
     decreasing_chain,
-    di,
     increasing_chain,
 )
 from .fpclasses import (
@@ -62,7 +61,6 @@ __all__ = [
     "covers",
     "ct",
     "decreasing_chain",
-    "di",
     "el_check",
     "enumerate_class",
     "enumerate_involutions",

@@ -50,13 +50,6 @@ class Chain:
                 raise AssertionError(f"step {x} -> {y} is not the move {label}")
 
 
-def di(p, q) -> int:
-    """Least position (1-based) where the one-line words differ."""
-    if p == q:
-        raise ValueError("permutations are equal")
-    return next(i for i, (a, b) in enumerate(zip(p, q), start=1) if a != b)
-
-
 def is_weakly_increasing(labels) -> bool:
     return all(a <= b for a, b in zip(labels, labels[1:]))
 
@@ -97,23 +90,42 @@ def decreasing_chain(p, q) -> Chain:
 
 
 def iter_saturated_chains(p, q) -> Iterator[Chain]:
-    """Yield every saturated chain from p to q, unguarded."""
+    """Yield every saturated chain from p to q, unguarded.
+
+    Depth-first, taking each element's moves in the order ``covers``
+    lists them.  Each element's feasible upper covers (those still below
+    q) are computed once per call, and the walk keeps one iterator over
+    them per open level.
+    """
     if not bruhat_leq(p, q):
         raise ValueError(f"{p} is not <= {q} in Bruhat order")
+    if p == q:
+        yield Chain((p,), ())
+        return
+    feasible = {}
 
-    def walk(x, elements, labels):
-        if x == q:
-            yield Chain(tuple(elements), tuple(labels))
-            return
-        for label, r in covers(x):
-            if bruhat_leq(r, q):
-                elements.append(r)
-                labels.append(label)
-                yield from walk(r, elements, labels)
-                elements.pop()
+    def steps(x):
+        found = feasible.get(x)
+        if found is None:
+            found = feasible[x] = [(l, r) for l, r in covers(x)
+                                   if bruhat_leq(r, q)]
+        return iter(found)
+
+    elements, labels, stack = [p], [], [steps(p)]
+    while stack:
+        for label, r in stack[-1]:
+            if r == q:
+                yield Chain((*elements, q), (*labels, label))
+                continue
+            elements.append(r)
+            labels.append(label)
+            stack.append(steps(r))
+            break
+        else:
+            stack.pop()
+            elements.pop()
+            if labels:
                 labels.pop()
-
-    yield from walk(p, [p], [])
 
 
 def all_saturated_chains(p, q, max_chains: int = DEFAULT_CHAIN_GUARD) -> list[Chain]:

@@ -16,6 +16,7 @@ usage or violated preconditions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -162,6 +163,40 @@ def _chain_payload(elements, labels=None) -> dict:
     return payload
 
 
+def _all_text(chains) -> str:
+    """The ``"all"`` entry of a chains report, with no trailing comma, as
+    ``json.dumps(report, sort_keys=True, indent=2)`` prints it.
+
+    Each chain payload sits at depth 2, its lists' items at depth 3.  The
+    lines of each element and the block of each label are made once.
+    """
+    item = " " * 8
+    words, fixed, steps = {}, {}, {}
+    blocks = []
+    for chain in chains:
+        for x in chain.elements:
+            if x not in words:
+                words[x] = item + json.dumps(format_perm(x))
+                fixed[x] = f"{item}{num_fixed_points(x)}"
+        for label in chain.labels:
+            if label not in steps:
+                i, j = label
+                steps[label] = f"{item}[\n{item}  {i},\n{item}  {j}\n{item}]"
+        if chain.labels:
+            labels = ("[\n" + ",\n".join(map(steps.__getitem__, chain.labels))
+                      + "\n      ]")
+        else:
+            labels = "[]"
+        blocks.append(
+            '    {\n      "fixed_points": [\n'
+            + ",\n".join(map(fixed.__getitem__, chain.elements))
+            + f'\n      ],\n      "labels": {labels},\n'
+            f'      "length": {len(chain.labels)},\n      "words": [\n'
+            + ",\n".join(map(words.__getitem__, chain.elements))
+            + "\n      ]\n    }")
+    return '  "all": [\n' + ",\n".join(blocks) + "\n  ]"
+
+
 def cmd_chains(args, out) -> int:
     try:
         p = parse_perm(getattr(args, "from"))
@@ -189,14 +224,17 @@ def cmd_chains(args, out) -> int:
     if args.kind in ("decreasing", "all"):
         chain = decreasing_chain(p, q)
         report["decreasing"] = _chain_payload(chain.elements, chain.labels)
-    if args.kind == "all":
-        try:
-            chains = all_saturated_chains(p, q)
-        except ChainGuardExceeded as exc:
-            raise UsageError(str(exc)) from None
-        report["all"] = [_chain_payload(c.elements, c.labels) for c in chains]
-        report["count"] = len(chains)
-    out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if args.kind != "all":
+        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        return 0
+    try:
+        chains = all_saturated_chains(p, q)
+    except ChainGuardExceeded as exc:
+        raise UsageError(str(exc)) from None
+    report["count"] = len(chains)
+    rest = json.dumps(report, sort_keys=True, indent=2)
+    # "all" sorts before every other key, so its entry opens the object.
+    out.write("{\n" + _all_text(chains) + ",\n" + rest[2:] + "\n")
     return 0
 
 
@@ -266,7 +304,9 @@ def cmd_counterexample(args, out) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="invbruhat",
         description="Bruhat order on involutions: enumeration, covering "

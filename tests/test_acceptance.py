@@ -345,6 +345,10 @@ def test_c13_cli_golden_files():
          "counterexample_19.json"),
         (["counterexample", "--prop", "20", "--n", "6", "--i", "2",
           "--m", "1"], "counterexample_20.json"),
+        (["chains", "--n", "6", "--from", "124365", "--to", "426153",
+          "--kind", "all"], "chains_124365_426153.json"),
+        (["chains", "--n", "4", "--from", "2143", "--to", "2143",
+          "--kind", "all"], "chains_2143_2143.json"),
     ]
     parser = build_parser()
     for argv, golden in cases:
@@ -352,5 +356,5 @@ def test_c13_cli_golden_files():
         out = io.StringIO()
         assert args.handler(args, out) == 0
         assert out.getvalue() == (GOLDEN / golden).read_text(), golden
-    announce(13, "CLI hasse and counterexample outputs are byte-identical "
-                 "to their golden files")
+    announce(13, "CLI hasse, counterexample and chains outputs are "
+                 "byte-identical to their golden files")

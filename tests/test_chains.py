@@ -6,7 +6,6 @@ from invbruhat.chains import (
     ChainGuardExceeded,
     all_saturated_chains,
     decreasing_chain,
-    di,
     increasing_chain,
     is_strictly_decreasing,
     is_weakly_increasing,
@@ -24,17 +23,6 @@ def comparable_pairs(n):
     for i, p in enumerate(idx.elements):
         for j in bits(idx.up[i]):
             yield p, idx.elements[j]
-
-
-def test_di_examples():
-    assert di(*words("124365", "426153")) == 1
-    assert di(*words("124365", "126453")) == 3
-    assert di(*words("2143", "3412")) == 1
-
-
-def test_di_rejects_equal():
-    with pytest.raises(ValueError):
-        di((1, 2), (1, 2))
 
 
 def test_chain_validates_label_count():
@@ -94,7 +82,8 @@ def test_uniqueness_and_lex_minimality_exhaustive():
     # in every interval: exactly one weakly increasing chain, exactly one
     # strictly decreasing one (which is the only weakly decreasing one),
     # greedy constructions find them, the increasing one is lex-minimal,
-    # and every label's first coordinate is at least di(bottom, top)
+    # and every label's first coordinate is at least the first position
+    # where the bottom and top words differ
     for n in range(2, 6):
         for p, q in comparable_pairs(n):
             chains = all_saturated_chains(p, q, max_chains=100_000)
@@ -111,7 +100,8 @@ def test_uniqueness_and_lex_minimality_exhaustive():
             assert decreasing_chain(p, q) == falling[0]
             least = min(c.labels for c in chains)
             assert rising[0].labels == least
-            h = di(p, q)
+            h = next(i for i, (a, b) in enumerate(zip(p, q), start=1)
+                     if a != b)
             for c in chains:
                 assert all(i >= h for i, _ in c.labels)
 
@@ -121,3 +111,22 @@ def test_chain_guard_trips_on_big_interval():
         all_saturated_chains(identity(6), reversal(6))
     lazily = sum(1 for _ in iter_saturated_chains(identity(6), reversal(6)))
     assert lazily == 18144
+
+
+def test_chain_counts_equal_dynamic_programming():
+    # chains from p to each q >= p, counted over the dot-criterion index
+    # alone: each element's count is the sum of its lower covers' counts,
+    # taken in position order (a linear extension)
+    for n in range(1, 7):
+        idx = UniverseIndex(enumerate_involutions(n))
+        lower = [[] for _ in idx.elements]
+        for i, j in idx.cover_pairs():
+            lower[j].append(i)
+        for i, p in enumerate(idx.elements):
+            count = {i: 1}
+            for j in (i, *bits(idx.up[i])):
+                if j != i:
+                    count[j] = sum(count.get(k, 0) for k in lower[j])
+                chains = list(iter_saturated_chains(p, idx.elements[j]))
+                assert len(chains) == count[j]
+                assert len(set(chains)) == len(chains)

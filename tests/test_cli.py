@@ -1,15 +1,26 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invbruhat.cli import build_parser, main
+from invbruhat.bruhat import UniverseIndex, bits
+from invbruhat.chains import (
+    ChainGuardExceeded,
+    all_saturated_chains,
+    decreasing_chain,
+    increasing_chain,
+)
+from invbruhat.cli import _chain_payload, build_parser, main
 from invbruhat.perms import enumerate_involutions, format_perm
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv):
@@ -30,6 +41,11 @@ def run_cli(argv):
      "counterexample_20.json"),
     # 6 of its 107 covers skip an ambient rank and carry no label
     (["hasse", "--n", "6", "--classes", "2"], "hasse_F6_2.dot"),
+    (["chains", "--n", "6", "--from", "124365", "--to", "426153",
+      "--kind", "all"], "chains_124365_426153.json"),
+    # p == q: one chain of length 0, whose labels print as []
+    (["chains", "--n", "4", "--from", "2143", "--to", "2143",
+      "--kind", "all"], "chains_2143_2143.json"),
 ])
 def test_golden_outputs(argv, golden):
     code, text = run_cli(argv)
@@ -237,3 +253,51 @@ def test_cli_contract_on_small_inputs(argv):
     if code == 2:
         assert text == ""
     assert _run_main(argv) == (code, text)
+
+
+def _chains_oracle(p, q, kind):
+    """Exit code and stdout of a chains query, printed by json.dumps."""
+    report = {"command": "chains", "n": len(p), "from": format_perm(p),
+              "to": format_perm(q), "kind": kind, "status": "pass"}
+    if kind in ("increasing", "all"):
+        chain = increasing_chain(p, q)
+        report["increasing"] = _chain_payload(chain.elements, chain.labels)
+    if kind in ("decreasing", "all"):
+        chain = decreasing_chain(p, q)
+        report["decreasing"] = _chain_payload(chain.elements, chain.labels)
+    if kind == "all":
+        try:
+            chains = all_saturated_chains(p, q)
+        except ChainGuardExceeded:
+            return 2, ""
+        report["all"] = [_chain_payload(c.elements, c.labels) for c in chains]
+        report["count"] = len(chains)
+    return 0, json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_chains_stdout_equals_json_dumps_exhaustive():
+    for n in range(1, 7):
+        idx = UniverseIndex(enumerate_involutions(n))
+        for i, p in enumerate(idx.elements):
+            for j in (i, *bits(idx.up[i])):
+                q = idx.elements[j]
+                for kind in ("increasing", "decreasing", "all"):
+                    argv = ["chains", "--n", str(n), "--from", format_perm(p),
+                            "--to", format_perm(q), "--kind", kind]
+                    assert _run_main(argv) == _chains_oracle(p, q, kind), argv
+
+
+def test_parser_reuse_after_errors_matches_a_fresh_process():
+    argv = ["chains", "--n", "6", "--from", "124365", "--to", "426153",
+            "--kind", "all"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "invbruhat.cli", *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(["chains", "--n", "6", "--from", "124365", "--kind", "sideways"])
+    assert exc.value.code == 2
+    assert _run_main(["chains", "--n", "4", "--from", "2143",
+                      "--to", "1234"]) == (2, "")
+    assert _run_main(argv) == (fresh.returncode, fresh.stdout)
+    assert fresh.returncode == 0 and fresh.stdout
