@@ -7,7 +7,7 @@ every entry of v's table is <= that of w's: one subtraction on the
 tables packed into ints, 5 bits an entry.
 
 ``PosetView`` holds elements and covering edges and derives the index
-and the up- and down-set bitmasks; ``restrict`` reads off the order
+and the down-set bitmasks; ``restrict`` reads off the order
 induced on a subset, so a class view is the involution order (built from
 the covering moves) restricted to the class.  Covers are sorted position
 pairs (i, j) with i < j, so a view lists its elements in a linear
@@ -82,7 +82,8 @@ class PosetView:
     ``elements[j]`` covers ``elements[i]``.  ``labels`` is None or aligned
     with ``covers``: a cover's rise label when it is a cover of the ambient
     involution order, else None.  Both are checked on construction; the
-    derived members are computed on first use and cached.
+    derived members, the index and the down-sets, are computed on first
+    use and cached.
     """
 
     elements: tuple[Perm, ...]
@@ -101,14 +102,6 @@ class PosetView:
     def index(self) -> dict[Perm, int]:
         """Element -> position in ``elements``."""
         return {p: i for i, p in enumerate(self.elements)}
-
-    @cached_property
-    def up(self) -> tuple[int, ...]:
-        """Strict up-set of each element as a bitmask over positions."""
-        up = [0] * len(self.elements)
-        for i, j in reversed(self.covers):  # covers out of j > i came first
-            up[i] |= 1 << j | up[j]
-        return tuple(up)
 
     @cached_property
     def down(self) -> tuple[int, ...]:

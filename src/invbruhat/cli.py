@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -372,8 +373,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args, sys.stdout)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # What is still buffered goes to the null device, so that the
+        # interpreter's own flush at exit raises nothing more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before all output was written",
+              file=sys.stderr)
         return 2
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

@@ -104,7 +104,8 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     chain of [x, y] starts with the lowest-key edge x -> a with a <= y,
     so edge i starts it exactly for the tops on or above its upper end
     outside ``below[x][i]``.  ``lex_inc[x]`` holds the tops y whose
-    minimal chain from x rises.
+    minimal chain from x rises.  After x's pass ``below[x][-1]`` is x's
+    strict up-set, which the passes of x's lower covers read.
     """
     if view.labels is None or None in view.labels:
         return ELReport(applicable=False, is_el=False, violations=())
@@ -115,7 +116,7 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     has_lower = {j for _, j in view.covers}
     if len(has_upper) != m - 1 or len(has_lower) != m - 1:
         raise ValueError("view is not bounded")
-    out, up = _labelled_out_edges(view), view.up
+    out = _labelled_out_edges(view)
     for x, edges in zip(view.elements, out):
         if len({label for label, _ in edges}) != len(edges):
             raise ValueError(f"element {x} repeats a cover label")
@@ -137,13 +138,13 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
             one[x][i] = one[x][i + 1] | c1
         below[x], lex_inc[x] = [0], 0
         for (_, a), j in zip(edges, starts):
-            reach = 1 << a | up[a]
+            reach = 1 << a | below[a][-1]
             first = reach & ~below[x][-1]
             lex_inc[x] |= first & (1 << a | (lex_inc[a] & ~below[a][j]))
             below[x].append(below[x][-1] | reach)
         rising, several = one[x][0], two[x][0]
         for reason, tops_x in (
-            ("no-increasing-chain", up[x] & ~rising),
+            ("no-increasing-chain", below[x][-1] & ~rising),
             ("multiple-increasing-chains", several),
             ("increasing-not-lex-min", rising & ~several & ~lex_inc[x]),
         ):
@@ -162,7 +163,7 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder,
         return ELReport(applicable=False, is_el=False, violations=())
     if not is_graded_bruteforce(view).graded:
         raise ValueError("view is not graded")
-    out, up = _labelled_out_edges(view), view.up
+    out, down = _labelled_out_edges(view), view.down
 
     def chains(x: int, y: int) -> list[tuple[Label, ...]]:
         found: list[tuple[Label, ...]] = []
@@ -174,7 +175,7 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder,
                     raise RuntimeError("chain guard exceeded")
                 return
             for label, z in out[here]:
-                if z == y or (up[z] >> y) & 1:
+                if z == y or (down[y] >> z) & 1:
                     word.append(label)
                     walk(z, word)
                     word.pop()
@@ -183,8 +184,8 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder,
         return found
 
     violations = []
-    for x, up_x in enumerate(up):
-        for y in bits(up_x):
+    for y, down_y in enumerate(down):
+        for x in bits(down_y):
             words = chains(x, y)
             keyed = [tuple(order.key(l) for l in w) for w in words]
             rising = [w for w, kw in zip(words, keyed)

@@ -353,6 +353,7 @@ def gapped_counts_witness(n: int, i: int, m: int) -> WitnessReport:
     k = 2 * m + 4
     if n < k + i - 2:
         raise ValueError(f"need n >= 2m + i + 2 = {k + i - 2}, got n = {n}")
+    spec = make_spec(n, {i - 2, i + 2 * m})  # checks the size before the work
 
     sigma = list(range(1, k - 1)) + [k, k - 1]
     tau = [k] + list(range(2, k)) + [1]
@@ -365,6 +366,4 @@ def gapped_counts_witness(n: int, i: int, m: int) -> WitnessReport:
     for a in range(1, k - 2, 2):
         pi = ct(pi, (a, a + 1))  # pair the fixed letters adjacently
     short_core = [tuple(sigma), pi, tuple(tau)]
-
-    spec = make_spec(n, {i - 2, i + 2 * m})
     return _padded_witness(spec, i, long_core, short_core)

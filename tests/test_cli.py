@@ -133,12 +133,39 @@ def test_chains_incomparable_exits_with_usage_error(capsys):
     ["chains", "--n", "4", "--from", "1234", "--to", "2314"],
     ["chains", "--n", "8", "--from", "12345678", "--to", "87654321",
      "--kind", "all"],
+    # the size is checked before the witness is built
+    ["counterexample", "--prop", "20", "--n", "200004", "--i", "2",
+     "--m", "100000"],
 ])
 def test_precondition_errors_exit_2_without_output(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,lines_read", [
+    (["enumerate", "--n", "10", "--all-classes"], 1),
+    (["hasse", "--n", "4", "--all-classes"], 0),  # reader closed first
+])
+def test_closed_stdout_exits_2_without_a_traceback(argv, lines_read):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end)
+    if not lines_read:
+        reader.close()  # before the process starts, so no write succeeds
+    proc = subprocess.Popen([sys.executable, "-m", "invbruhat.cli", *argv],
+                            stdout=write_end, stderr=subprocess.PIPE,
+                            text=True, env=env)
+    os.close(write_end)
+    for _ in range(lines_read):
+        assert reader.readline()
+    reader.close()
+    assert proc.wait(timeout=60) == 2
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert err.startswith("error:")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_one_class_at_the_largest_sizes_completes():

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from invbruhat.bruhat import PosetView, UniverseIndex, bits
@@ -11,7 +15,10 @@ from invbruhat.elshell import (
 )
 from invbruhat.fpclasses import all_specs, make_spec
 from invbruhat.moves import Label
-from invbruhat.perms import enumerate_involutions, num_fixed_points, parse_perm
+from invbruhat.perms import (enumerate_involutions, format_perm,
+                             num_fixed_points, parse_perm)
+
+EL_GOLDEN = Path(__file__).parent / "golden" / "el_check_n8.json"
 
 
 def words(*texts):
@@ -130,6 +137,38 @@ def test_el_check_pins_the_standard_lex_failures_on_fpf_classes():
         assert len(report.violations) == count
         assert {why for _, _, why in report.violations} \
             == {"no-increasing-chain"}
+
+
+def el_check_summaries() -> dict[str, dict]:
+    """``el_check``'s report on every (count set, order) case at n <= 8,
+    keyed by class and order: applicable, is_el, the violation count and
+    a SHA-256 of the sorted violations, or the message of the ValueError
+    raised instead."""
+    summaries = {}
+    for n in range(1, 9):
+        for spec in all_specs(n):
+            view = labelled_class_view(spec)
+            for order in LabelOrder:
+                try:
+                    report = el_check(view, order)
+                except ValueError as exc:
+                    entry = {"error": str(exc)}
+                else:
+                    violations = [[format_perm(a), format_perm(b), why]
+                                  for a, b, why in sorted(report.violations)]
+                    digest = hashlib.sha256(
+                        json.dumps(violations).encode()).hexdigest()
+                    entry = {"applicable": report.applicable,
+                             "is_el": report.is_el,
+                             "violations": len(violations),
+                             "sha256": digest}
+                summaries[f"{spec.describe()} {order.value}"] = entry
+    return summaries
+
+
+def test_el_check_reports_match_the_pinned_golden_file():
+    # made by running this module as a script: 82 count sets x 2 orders
+    assert el_check_summaries() == json.loads(EL_GOLDEN.read_text())
 
 
 def diamond(left: tuple[Label, Label], right: tuple[Label, Label]) -> PosetView:
@@ -290,3 +329,9 @@ def test_find_escaping_interval_midpoint_really_escapes():
     assert len(chain) == 2
     assert in_class(p, spec) and in_class(q, spec)
     assert not in_class(chain.elements[1], spec)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_elshell.py rewrites the golden file
+    EL_GOLDEN.write_text(json.dumps(el_check_summaries(), indent=1,
+                                    sort_keys=True) + "\n")
