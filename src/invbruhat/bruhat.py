@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, starmap
+from operator import itemgetter, lt
 from typing import Iterator
 
 from .perms import MAX_N, Perm, inversions
@@ -92,8 +94,11 @@ class PosetView:
 
     def __post_init__(self):
         m, covers = len(self.elements), self.covers
-        if any(not 0 <= i < j < m for i, j in covers) \
-                or any(a >= b for a, b in zip(covers, covers[1:])):
+        # Strictly sorted pairs with i < j; the first then holds the least i.
+        if covers and not (all(map(lt, covers, covers[1:]))
+                           and all(starmap(lt, covers))
+                           and covers[0][0] >= 0
+                           and max(map(itemgetter(1), covers)) < m):
             raise ValueError("covers are not sorted upward position pairs")
         if self.labels is not None and len(self.labels) != len(covers):
             raise ValueError("labels are not aligned with covers")
@@ -117,21 +122,26 @@ class PosetView:
 
         The highest position below y in the subset is a maximal element
         there, so a lower cover of y; peeling it off with its down-set
-        and repeating yields each lower cover once.
+        and repeating yields each lower cover once.  Each cover is filed
+        under its lower end as y ascends, so reading the files in order
+        gives the covers sorted.
         """
         index, down = self.index, self.down
         where = sorted({index[p] for p in subset})
         mask = sum(1 << i for i in where)
-        local = {i: k for k, i in enumerate(where)}
-        covers = []
+        local = [0] * len(down)  # position here -> position in the subset
+        for k, i in enumerate(where):
+            local[i] = k
+        files = [[] for _ in where]  # the covers out of each element
         for k, y in enumerate(where):
             below = down[y] & mask
             while below:
                 x = below.bit_length() - 1
-                covers.append((local[x], k))
-                below &= ~(1 << x | down[x])
+                i = local[x]
+                files[i].append((i, k))
+                below ^= (below & down[x]) | (1 << x)  # drop x and its down-set
         return PosetView(elements=tuple(self.elements[i] for i in where),
-                         covers=tuple(sorted(covers)))
+                         covers=tuple(chain.from_iterable(files)))
 
 
 class UniverseIndex:

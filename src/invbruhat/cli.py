@@ -49,9 +49,9 @@ class UsageError(Exception):
     pass
 
 
-def _parse_counts(args, n: int) -> frozenset[int]:
+def _parse_counts(args, n: int) -> range | frozenset[int]:
     if args.all_classes:
-        return frozenset(range(n % 2, n + 1, 2))
+        return range(n % 2, n + 1, 2)  # make_spec checks n before reading it
     if args.classes is None:
         raise UsageError("one of --classes or --all-classes is required")
     try:

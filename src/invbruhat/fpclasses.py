@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress
 
 from .bruhat import PosetView, bruhat_less
 from .moves import covers, ct
@@ -68,13 +69,13 @@ class FixedPointSpec:
 def make_spec(n: int, counts) -> FixedPointSpec:
     """Validate and build a class description.
 
-    The size must lie in 1..MAX_N.  Counts must be nonempty, lie in
-    0..n, and share n's parity (an involution of S_n always has
-    n-congruent fixed-point count mod 2).
+    The size must lie in 1..MAX_N; it is checked before the counts are
+    read.  Counts must be nonempty, lie in 0..n, and share n's parity (an
+    involution of S_n always has n-congruent fixed-point count mod 2).
     """
-    counts = frozenset(counts)
     if not 1 <= n <= MAX_N:
         raise ValueError(f"size {n} outside 1..{MAX_N}")
+    counts = frozenset(counts)
     if not counts:
         raise ValueError("empty fixed-point count set")
     for a in counts:
@@ -121,19 +122,30 @@ def in_class(p: Perm, spec: FixedPointSpec) -> bool:
     )
 
 
+# As many sizes as enumerate_involutions keeps.
+@lru_cache(maxsize=8)
+def _strata(n: int) -> tuple[tuple[Perm, ...], ...]:
+    """The involutions of size n by fixed-point count: entry a holds those
+    with a fixed points, in lexicographic word order."""
+    strata: list[list[Perm]] = [[] for _ in range(n + 1)]
+    for p in enumerate_involutions(n):
+        strata[num_fixed_points(p)].append(p)
+    return tuple(map(tuple, strata))
+
+
 # 64 holds every count set of one size up to n = 11 at once.
 @lru_cache(maxsize=64)
 def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
-    """The class elements in lexicographic word order."""
-    return tuple(p for p in enumerate_involutions(spec.n)
-                 if num_fixed_points(p) in spec.counts)
+    """The class elements in lexicographic word order: its strata merged."""
+    strata = _strata(spec.n)
+    return tuple(sorted(chain.from_iterable(strata[a] for a in spec.counts)))
 
 
 # Largest size whose whole involution order is built: at n = 10 its covers
 # take about 0.4 s and its down-sets 6 MB; at n = 11 the covers take about
 # 1.5 s, the down-sets 80 MB of bits and the build peaks at about 205 MB.
 # n = 11 stays out although check-graded --n 11 --all-classes passes in
-# about 58 s at a 244 MB peak: el_check alone takes I_11 from 250 MB to 1.5 GB.
+# about 32 s at a 238 MB peak: el_check alone takes I_11 from 250 MB to 1.5 GB.
 MAX_VIEW_N = 10
 
 
@@ -163,30 +175,28 @@ class GradedReport:
 def is_graded_bruteforce(view: PosetView) -> GradedReport:
     """Check that all maximal chains of ``view`` have equal length.
 
-    Works on the covering graph: the poset is graded iff the longest and
-    shortest cover-paths from minimal elements agree at every element
-    and all maximal elements sit at the same height.  One walk over the
-    positions computes both, since every lower cover of an element comes
-    before it; that is linear in the number of covering edges, so
-    arbitrarily chain-rich posets stay cheap.  When graded, returns the
-    unique rank map sending minimal elements to 0.
+    Works on the covering graph: the poset is graded iff, at every
+    element, all lower covers sit at one height, and all maximal
+    elements sit at one height.  One pass over the covers in their
+    sorted order checks both, since every cover into i comes before
+    every cover out of i: the first lower cover read fixes an element's
+    height, and a later one at another height ends the pass.  That is
+    linear in the number of covering edges, so arbitrarily chain-rich
+    posets stay cheap.  When graded, returns the unique rank map sending
+    minimal elements to 0.
     """
-    below: list[list[int]] = [[] for _ in view.elements]
+    height = [0] * len(view.elements)  # 0 until a lower cover is read
+    maximal = bytearray(b"\x01") * len(height)
     for i, j in view.covers:
-        below[j].append(i)
-    down_min, down_max = [0] * len(below), [0] * len(below)
-    for y, lower in enumerate(below):
-        if lower:
-            down_min[y] = 1 + min(down_min[x] for x in lower)
-            down_max[y] = 1 + max(down_max[x] for x in lower)
-
-    if down_min != down_max:
+        maximal[i] = 0
+        h, seen = height[i] + 1, height[j]
+        if not seen:
+            height[j] = h
+        elif seen != h:
+            return GradedReport(graded=False, ranks=None)
+    if len(set(compress(height, maximal))) > 1:
         return GradedReport(graded=False, ranks=None)
-    has_upper = {i for i, _ in view.covers}
-    top_ranks = {down_min[y] for y in range(len(below)) if y not in has_upper}
-    if len(top_ranks) > 1:
-        return GradedReport(graded=False, ranks=None)
-    return GradedReport(graded=True, ranks=dict(zip(view.elements, down_min)))
+    return GradedReport(graded=True, ranks=dict(zip(view.elements, height)))
 
 
 def is_graded_rule(spec: FixedPointSpec) -> bool:

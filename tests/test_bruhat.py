@@ -225,3 +225,13 @@ def test_view_with_unsorted_covers_or_misaligned_labels_is_rejected(
     with pytest.raises(ValueError):
         PosetView(elements=words("123", "132", "213"), covers=covers,
                   labels=labels)
+
+
+@pytest.mark.parametrize("covers", [
+    ((0, 1), (1, 3)),  # j == len(elements)
+    ((0, 3), (1, 2)),  # j == len(elements), on a cover before the last
+    ((-1, 1), (0, 2)),  # a negative i
+])
+def test_view_with_a_cover_out_of_range_is_rejected(covers):
+    with pytest.raises(ValueError):
+        PosetView(elements=words("123", "132", "213"), covers=covers)

@@ -168,6 +168,32 @@ def test_closed_stdout_exits_2_without_a_traceback(argv, lines_read):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+# Prints [exit code, stdout, stderr, peak RSS in KiB] of the command in its
+# argv.  A process's peak RSS includes what it mapped before its exec, so
+# the command is started from this small process, not from pytest's.
+PEAK_RSS_RUNNER = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE, text=True)
+out, err = proc.stdout.read(), proc.stderr.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), out, err,
+                  usage.ru_maxrss]))
+"""
+
+
+def test_oversized_all_classes_exits_2_before_building_the_counts():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_RUNNER, sys.executable, "-m",
+         "invbruhat.cli", "enumerate", "--n", "4000000", "--all-classes"],
+        capture_output=True, text=True, env=env, timeout=60)
+    code, out, err, peak_kib = json.loads(proc.stdout)
+    assert (code, out) == (2, "")
+    assert err == "error: size 4000000 outside 1..12\n"
+    assert peak_kib < 40 * 1024  # the count range alone took 150 MB
+
+
 def test_one_class_at_the_largest_sizes_completes():
     code, text = run_cli(["hasse", "--n", "10", "--classes", "10"])
     assert code == 0

@@ -1,4 +1,8 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from invbruhat.fpclasses import (
     class_view,
     enumerate_class,
     gapped_counts_witness,
+    involution_view,
     is_graded_bruteforce,
     is_graded_rule,
     isolated_count_witness,
@@ -30,8 +35,25 @@ from invbruhat.perms import (
 )
 
 
+VIEWS_GOLDEN = Path(__file__).parent / "golden" / "class_views_n8_n9.json"
+
+
 def words(*texts):
     return tuple(parse_perm(t) for t in texts)
+
+
+def class_view_digests():
+    """Class name -> SHA-256 of its sorted counts, elements and covers, for
+    every count set at n = 8 and n = 9."""
+    digests = {}
+    for n in (8, 9):
+        for spec in all_specs(n):
+            view = class_view(spec)
+            text = json.dumps([sorted(spec.counts), view.elements,
+                               view.covers])
+            digests[spec.describe()] = \
+                hashlib.sha256(text.encode()).hexdigest()
+    return digests
 
 
 def test_make_spec_examples():
@@ -71,6 +93,14 @@ def test_enumerate_class_examples():
     assert len(enumerate_class(make_spec(6, {0, 4}))) == 30
 
 
+def test_enumerate_class_equals_filtering_every_involution():
+    for n in range(1, 8):
+        for spec in all_specs(n):
+            assert enumerate_class(spec) == tuple(
+                p for p in enumerate_involutions(n)
+                if num_fixed_points(p) in spec.counts), spec
+
+
 def test_is_graded_bruteforce_examples():
     singleton = poset_view([(1, 2, 3, 4)])
     report = is_graded_bruteforce(singleton)
@@ -84,6 +114,25 @@ def test_is_graded_bruteforce_unequal_heights():
     a, b, c, d = words("1234", "2134", "2143", "4321")
     view = PosetView(elements=(a, b, c, d),  # covers a-b, b-c and a-d
                      covers=((0, 1), (0, 3), (1, 2)))
+    assert not is_graded_bruteforce(view).graded
+
+
+def test_is_graded_bruteforce_element_in_no_cover_beside_a_chain():
+    a, b, c = words("123", "132", "213")
+    view = PosetView(elements=(a, b, c), covers=((0, 1),))  # c is alone
+    assert not is_graded_bruteforce(view).graded
+    alone = PosetView(elements=(a, b, c), covers=())
+    assert is_graded_bruteforce(alone).ranks == {a: 0, b: 0, c: 0}
+
+
+def test_is_graded_bruteforce_minimal_element_listed_last_but_one():
+    # Position 0 is always minimal, so a second minimal element is the
+    # latest a minimal element can be listed: here c, last but one.
+    a, b, c, d = words("1234", "2134", "1243", "2143")
+    view = PosetView(elements=(a, b, c, d), covers=((0, 1), (2, 3)))
+    assert is_graded_bruteforce(view).ranks == {a: 0, b: 1, c: 0, d: 1}
+    # d's lower covers b (height 1) and c (height 0) are read in that order
+    view = PosetView(elements=(a, b, c, d), covers=((0, 1), (1, 3), (2, 3)))
     assert not is_graded_bruteforce(view).graded
 
 
@@ -196,6 +245,26 @@ def test_class_view_equals_dot_criterion_view():
             assert restricted.covers == direct.covers, spec
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_restrict_to_random_subsets_equals_dot_criterion_view(n):
+    whole = involution_view(n)
+    classes = {frozenset(enumerate_class(spec)) for spec in all_specs(n)}
+    rng = random.Random(n)
+    for _ in range(25):
+        subset = rng.sample(whole.elements,
+                            rng.randrange(1, len(whole.elements)))
+        assert frozenset(subset) not in classes
+        restricted = whole.restrict(subset)
+        direct = poset_view(subset)
+        assert restricted.elements == direct.elements
+        assert restricted.covers == direct.covers
+
+
+def test_class_views_match_the_pinned_golden_file():
+    # made by running this module as a script: 62 count sets at n = 8, 9
+    assert class_view_digests() == json.loads(VIEWS_GOLDEN.read_text())
+
+
 def test_minimal_elements_examples():
     assert minimal_elements(make_spec(4, {0})) == words("2143")
     assert len(minimal_elements(make_spec(6, {0, 2}))) == 6
@@ -306,3 +375,9 @@ def test_witness_chains_are_saturated_in_class():
                 z not in (x, y) and bruhat_leq(x, z) and bruhat_leq(z, y)
                 for z in elements
             )
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_fpclasses.py rewrites the golden file
+    VIEWS_GOLDEN.write_text(json.dumps(class_view_digests(), indent=1,
+                                       sort_keys=True) + "\n")
