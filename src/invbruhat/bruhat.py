@@ -117,8 +117,8 @@ class PosetView:
         return tuple(down)
 
     def restrict(self, subset) -> PosetView:
-        """The order induced on ``subset`` of the elements, unlabelled,
-        listed in this view's order.
+        """The order induced on ``subset`` of the elements, listed in this
+        view's order and unlabelled even when this view is labelled.
 
         The highest position below y in the subset is a maximal element
         there, so a lower cover of y; peeling it off with its down-set

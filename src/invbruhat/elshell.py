@@ -66,8 +66,11 @@ class ELReport:
 
 def labelled_class_view(spec: FixedPointSpec) -> PosetView:
     """Class covering graph with each cover carrying its rise label when
-    it is also a cover of the full involution order, else None."""
+    it is also a cover of the full involution order, else None.  The whole
+    order comes labelled; a proper class's view is labelled here."""
     view = class_view(spec)
+    if view.labels is not None:
+        return view
     e = view.elements
     labels = []
     for i, group in groupby(view.covers, key=itemgetter(0)):

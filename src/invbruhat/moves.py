@@ -19,10 +19,13 @@ first, so ct(w)(x) = w(c(x))):
     T1: c = (i j)            T2: c = (i j w(j))     T3: c = (i j w(i))
     T4: c = (i j)(w(i) w(j)) T5: c = (i j w(j) w(i)) T6: c = (i j)(w(i) w(j))
 
-``covers`` finds the free rises in one scan per i: (i, j) is one iff
-w(i) < w(j) < ceiling, the least w(k) above w(i) with i < k < j, so each
-free rise, suitable or not, lowers the ceiling to w(j).  ``cover_map`` keys
-the labels by upper cover.  The moves give exactly the Bruhat covers of
+Each move is written from this table directly: only the 2 to 4 positions
+in its cycles change.  ``covers`` finds the free rises in one scan per i
+with w(i) >= i: (i, j) is one iff w(i) < w(j) < ceiling, the least w(k)
+above w(i) with i < k < j, so each free rise, suitable or not, lowers the
+ceiling to w(j).  The whole involution order keeps the labels ``covers``
+returns; ``cover_map`` keys them by upper cover for the label pass of a
+proper class's view.  The moves give exactly the Bruhat covers of
 involutions, which the tests check against an order-theoretic oracle.
 """
 
@@ -80,28 +83,26 @@ def classify_rise(p: Perm, label: Label) -> RiseClass:
             }.get(pattern, RiseClass.UNSUITABLE)
 
 
-def _apply_cycles(p: Perm, *cycles: tuple[int, ...]) -> Perm:
-    """Compose p with the given disjoint cycles applied first: p(c(x))."""
-    word = list(p)
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            word[a - 1] = p[b - 1]
-    return tuple(word)
-
-
 def _move(p: Perm, i: int, j: int) -> Perm | None:
-    """The upper cover of p at the free rise (i, j) by the cycles its pattern
-    picks from the table above; None for a deficiency first or fd."""
+    """The upper cover of p at the free rise (i, j): the composition with
+    the cycles its pattern picks from the table above, written directly
+    at the 2 to 4 positions it changes; None for a deficiency first or fd."""
     vi, vj = p[i - 1], p[j - 1]
     if vi < i or (vi == i and vj < j):
         return None
+    w = list(p)
     if vi == i:
-        return _apply_cycles(p, (i, j) if vj == j else (i, j, vj))  # T1, T2
-    if vj == j:
-        return _apply_cycles(p, (i, j, vi))  # T3
-    if vi < j < vj:
-        return _apply_cycles(p, (i, j, vj, vi))  # T5
-    return _apply_cycles(p, (i, j), (vi, vj))  # T4, T6
+        if vj == j:
+            w[i - 1], w[j - 1] = j, i  # T1
+        else:
+            w[i - 1], w[j - 1], w[vj - 1] = vj, j, i  # T2
+    elif vj == j:
+        w[i - 1], w[j - 1], w[vi - 1] = j, i, vi  # T3
+    elif vi < j < vj:
+        w[i - 1], w[j - 1], w[vj - 1], w[vi - 1] = vj, j, i, vi  # T5
+    else:
+        w[i - 1], w[j - 1], w[vi - 1], w[vj - 1] = vj, vi, j, i  # T4, T6
+    return tuple(w)
 
 
 def ct(p: Perm, label: Label) -> Perm:
@@ -116,14 +117,18 @@ def ct(p: Perm, label: Label) -> Perm:
 @lru_cache(maxsize=1 << 14)
 def covers(p: Perm) -> tuple[tuple[Label, Perm], ...]:
     """All covering moves of p, sorted by label: the upper covers of p in
-    the Bruhat order on involutions.  One scan per i finds the free rises
-    (i, j) as p(i) < p(j) < ceiling, the least p(k) above p(i) for i < k < j."""
+    the Bruhat order on involutions.  One scan per i with p(i) >= i finds
+    the free rises (i, j) as p(i) < p(j) < ceiling, the least p(k) above
+    p(i) for i < k < j."""
     if not is_involution(p):
         raise ValueError(f"not an involution: {p}")
     out, n = [], len(p)
     for i, vi in enumerate(p, 1):
+        if vi < i:  # a deficiency first yields no move
+            continue
         ceiling = n + 1
-        for j, vj in enumerate(p[i:], i + 1):
+        for j in range(i + 1, n + 1):
+            vj = p[j - 1]
             if vi < vj < ceiling:
                 ceiling = vj
                 q = _move(p, i, j)

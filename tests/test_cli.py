@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -192,6 +193,28 @@ def test_oversized_all_classes_exits_2_before_building_the_counts():
     assert (code, out) == (2, "")
     assert err == "error: size 4000000 outside 1..12\n"
     assert peak_kib < 40 * 1024  # the count range alone took 150 MB
+
+
+# SHA-256 of the stdout of each command at n = 10 over all classes.
+ALL_CLASSES_N10_DIGESTS = {
+    "check-graded":
+        "17e109ddfe6d4e2636c3aaea1a4bb71db8b67bc9f213f129dba95279a0662cdb",
+    "el-verify":
+        "b2ee9f04a2a09999e4d3616cc2396786239055b38ad8d5d096cddcdcc83fd3b3",
+    "hasse":
+        "a8a9564632edb69c17252f77fe4276efdeffb19080c62b73351eb35252b18b18",
+}
+
+
+@pytest.mark.slow
+def test_all_classes_stdout_at_n10_matches_the_pinned_digests():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for command, digest in ALL_CLASSES_N10_DIGESTS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "invbruhat.cli", command, "--n", "10",
+             "--all-classes"], capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, command
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, command
 
 
 def test_one_class_at_the_largest_sizes_completes():

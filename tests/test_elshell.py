@@ -13,8 +13,8 @@ from invbruhat.elshell import (
     fpf_decreasing_chain,
     labelled_class_view,
 )
-from invbruhat.fpclasses import all_specs, make_spec
-from invbruhat.moves import Label
+from invbruhat.fpclasses import all_specs, class_view, make_spec
+from invbruhat.moves import Label, cover_map
 from invbruhat.perms import (enumerate_involutions, format_perm,
                              num_fixed_points, parse_perm)
 
@@ -70,6 +70,16 @@ def test_labelled_class_view_marks_rank_jumps():
     assert label_map(view)[words("124365", "216453")] is None
     labelled = [e for e, l in label_map(view).items() if l is not None]
     assert labelled  # plenty of ambient covers remain
+
+
+def test_class_view_labels_come_from_the_upper_cover_map():
+    for n in range(1, 7):
+        for spec in all_specs(n):
+            view = labelled_class_view(spec)
+            assert view.covers == class_view(spec).covers
+            e = view.elements
+            assert view.labels == tuple(cover_map(e[i]).get(e[j])
+                                        for i, j in view.covers), spec
 
 
 def test_el_check_fixed_point_free_reversed():

@@ -26,6 +26,7 @@ from invbruhat.fpclasses import (
     spec_between,
     top_element,
 )
+from invbruhat.moves import cover_map
 from invbruhat.perms import (
     enumerate_involutions,
     format_perm,
@@ -243,6 +244,26 @@ def test_class_view_equals_dot_criterion_view():
             direct = poset_view(enumerate_class(spec))
             assert restricted.elements == direct.elements, spec
             assert restricted.covers == direct.covers, spec
+
+
+def test_whole_view_carries_the_rise_label_of_every_cover():
+    for n in range(1, 8):
+        whole = involution_view(n)
+        e = whole.elements
+        assert len(whole.labels) == len(whole.covers)
+        assert None not in whole.labels
+        for (i, j), label in zip(whole.covers, whole.labels):
+            assert cover_map(e[i])[e[j]] == label
+
+
+def test_full_count_set_is_the_whole_view_and_proper_classes_unlabelled():
+    for n in range(1, 8):
+        for spec in all_specs(n):
+            view = class_view(spec)
+            if len(spec.counts) == n // 2 + 1:
+                assert view is involution_view(n)
+            else:
+                assert view.labels is None, spec
 
 
 @pytest.mark.parametrize("n", [6, 7])

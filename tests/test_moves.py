@@ -107,6 +107,41 @@ def test_covers_equal_definition_route():
             assert covers(p) == expected, p
 
 
+# The cycles of each move in the module docstring's table, from i, j, w(i)
+# and w(j); a cycle (a b c) sends a to b, b to c and c to a.
+CYCLE_TABLE = {
+    RiseClass.TYPE1_FF: lambda i, j, vi, vj: [(i, j)],
+    RiseClass.TYPE2_FE: lambda i, j, vi, vj: [(i, j, vj)],
+    RiseClass.TYPE3_EF: lambda i, j, vi, vj: [(i, j, vi)],
+    RiseClass.TYPE4_EE_NONCROSSING: lambda i, j, vi, vj: [(i, j), (vi, vj)],
+    RiseClass.TYPE5_EE_CROSSING: lambda i, j, vi, vj: [(i, j, vj, vi)],
+    RiseClass.TYPE6_ED: lambda i, j, vi, vj: [(i, j), (vi, vj)],
+}
+
+
+def compose_with_cycles(p, cycles):
+    """The word of x -> p(c(x)), c the product of the disjoint cycles."""
+    c = list(range(len(p) + 1))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            c[a] = b
+    return tuple(p[c[x] - 1] for x in range(1, len(p) + 1))
+
+
+def test_moves_equal_cycle_table_compositions():
+    # ct writes the changed positions directly; the table composes cycles.
+    assert set(CYCLE_TABLE) == SUITABLE
+    for n in range(1, 9):
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        for p in enumerate_involutions(n):
+            for i, j in pairs:
+                kind = classify_rise(p, (i, j))
+                if kind in SUITABLE:
+                    cycles = CYCLE_TABLE[kind](i, j, p[i - 1], p[j - 1])
+                    assert ct(p, (i, j)) == compose_with_cycles(p, cycles), \
+                        (p, i, j)
+
+
 def test_covers_sorted_by_label():
     for p in enumerate_involutions(5):
         labels = [label for label, _ in covers(p)]
