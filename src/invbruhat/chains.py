@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .bruhat import bruhat_leq
-from .moves import Label, covers, ct
+from .moves import Label, covers
 
 DEFAULT_CHAIN_GUARD = 10_000
 
@@ -38,16 +38,6 @@ class Chain:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def verify(self) -> None:
-        """Check every step really is the move named by its label."""
-        for x, y, label in zip(self.elements, self.elements[1:], self.labels):
-            try:
-                image = ct(x, label)
-            except ValueError as exc:
-                raise AssertionError(str(exc)) from None
-            if image != y:
-                raise AssertionError(f"step {x} -> {y} is not the move {label}")
 
 
 def is_weakly_increasing(labels) -> bool:

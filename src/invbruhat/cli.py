@@ -330,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hasse", help="covering graph in DOT format")
     add_class_flags(sp)
-    sp.add_argument("--format", choices=["dot"], default="dot")
     sp.set_defaults(handler=cmd_hasse)
 
     sp = sub.add_parser("check-graded",

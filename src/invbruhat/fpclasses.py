@@ -97,23 +97,6 @@ def all_specs(n: int) -> list[FixedPointSpec]:
     return out
 
 
-def spec_at_most(n: int, a: int) -> FixedPointSpec:
-    """Counts a, a-2, ... down to n's parity floor."""
-    return make_spec(n, range(n % 2, a + 1, 2))
-
-
-def spec_at_least(n: int, a: int) -> FixedPointSpec:
-    """Counts a, a+2, ... up to n."""
-    return make_spec(n, range(a, n + 1, 2))
-
-
-def spec_between(n: int, a1: int, a2: int) -> FixedPointSpec:
-    """Counts a1, a1+2, ..., a2 (a2 > a1 required)."""
-    if a2 <= a1:
-        raise ValueError("need a2 > a1")
-    return make_spec(n, range(a1, a2 + 1, 2))
-
-
 def in_class(p: Perm, spec: FixedPointSpec) -> bool:
     return (
         len(p) == spec.n
@@ -133,19 +116,22 @@ def _strata(n: int) -> tuple[tuple[Perm, ...], ...]:
     return tuple(map(tuple, strata))
 
 
-# 64 holds every count set of one size up to n = 11 at once.
-@lru_cache(maxsize=64)
 def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
     """The class elements in lexicographic word order: its strata merged."""
     strata = _strata(spec.n)
     return tuple(sorted(chain.from_iterable(strata[a] for a in spec.counts)))
 
 
+# The uncached move scan, taken before anything can wrap ``covers``: the view
+# below keeps every cover of I_n, and a second copy in the covers cache would
+# never be read again by a class command.
+_scan_covers = covers.__wrapped__
+
 # Largest size whose whole involution order is built: at n = 10 its labelled
-# covers take about 0.2 s and its down-sets 6 MB; at n = 11 the covers take
-# about 1.5 s, the down-sets 80 MB of bits and the build peaks at about 205 MB.
-# n = 11 stays out although check-graded --n 11 --all-classes passes in
-# about 32 s at a 238 MB peak: el_check alone takes I_11 from 250 MB to 1.5 GB.
+# covers take about 0.25 s and its down-sets 6 MB; at n = 11 the covers take
+# about 1.0 s at a 71 MB peak and the down-sets 80 MB of bits.  n = 11 stays
+# out although check-graded --n 11 --all-classes passes in about 27 s at a
+# 220 MB peak: el_check on I_11 alone peaks at about 1.5 GB.
 MAX_VIEW_N = 10
 
 
@@ -159,7 +145,8 @@ def involution_view(n: int) -> PosetView:
     index = {p: i for i, p in enumerate(elements)}
     pairs, labels = [], []
     for i, p in enumerate(elements):
-        for j, label in sorted([(index[q], label) for label, q in covers(p)]):
+        for j, label in sorted([(index[q], label)
+                                 for label, q in _scan_covers(p)]):
             pairs.append((i, j))
             labels.append(label)
     return PosetView(elements=elements, covers=tuple(pairs),

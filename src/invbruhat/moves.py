@@ -23,10 +23,12 @@ Each move is written from this table directly: only the 2 to 4 positions
 in its cycles change.  ``covers`` finds the free rises in one scan per i
 with w(i) >= i: (i, j) is one iff w(i) < w(j) < ceiling, the least w(k)
 above w(i) with i < k < j, so each free rise, suitable or not, lowers the
-ceiling to w(j).  The whole involution order keeps the labels ``covers``
-returns; ``cover_map`` keys them by upper cover for the label pass of a
-proper class's view.  The moves give exactly the Bruhat covers of
-involutions, which the tests check against an order-theoretic oracle.
+ceiling to w(j).  The whole involution order is built from the uncached
+scan and keeps its labels itself; the cache of ``covers`` serves point
+queries (chains, witnesses) and ``cover_map``, which keys the labels by
+upper cover for the label pass of a proper class's view.  The moves give
+exactly the Bruhat covers of involutions, which the tests check against
+an order-theoretic oracle.
 """
 
 from __future__ import annotations

@@ -60,13 +60,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[v - 1] for v in q)
 
 
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def is_involution(p: Perm) -> bool:
     """True iff p(p(x)) = x for all x."""
     return all(p[v - 1] == i + 1 for i, v in enumerate(p))
@@ -102,7 +95,10 @@ def count_involutions(n: int) -> int:
 
 
 def iter_involutions(n: int) -> Iterator[Perm]:
-    """Yield the involutions of S_n, built by pairing least unplaced points."""
+    """Yield the involutions of S_n in lexicographic order of one-line
+    words.  The least unplaced position i is fixed first, then paired with
+    each larger unplaced j in increasing order, so the value at i, the
+    first position still open, only grows."""
     if n > MAX_N:
         raise ValueError(f"size {n} exceeds the supported cap {MAX_N}")
     word = [0] * n
@@ -124,8 +120,9 @@ def iter_involutions(n: int) -> Iterator[Perm]:
 
 @lru_cache(maxsize=8)
 def enumerate_involutions(n: int) -> tuple[Perm, ...]:
-    """All involutions of S_n, in lexicographic order of one-line words."""
-    return tuple(sorted(iter_involutions(n)))
+    """All involutions of S_n, in the lexicographic order of one-line words
+    that ``iter_involutions`` yields them in."""
+    return tuple(iter_involutions(n))
 
 
 def brute_force_involutions(n: int) -> tuple[Perm, ...]:

@@ -46,9 +46,6 @@ from invbruhat.fpclasses import (
     poset_rank,
     rank_in_involutions,
     rank_value,
-    spec_at_least,
-    spec_at_most,
-    spec_between,
     top_element,
 )
 from invbruhat.moves import cover_map, covers
@@ -270,9 +267,9 @@ def test_c10_chain_entry_property():
     pairs = 0
     for n in range(2, 8):
         values = list(range(n % 2, n + 1, 2))
-        specs = [spec_at_most(n, a) for a in values]
-        specs += [spec_at_least(n, a) for a in values]
-        specs += [spec_between(n, a1, a2)
+        specs = [make_spec(n, range(n % 2, a + 1, 2)) for a in values]
+        specs += [make_spec(n, range(a, n + 1, 2)) for a in values]
+        specs += [make_spec(n, range(a1, a2 + 1, 2))
                   for k, a1 in enumerate(values) for a2 in values[k + 1:]]
         idx = involution_index(n)
         for spec in specs:

@@ -11,6 +11,7 @@ from invbruhat.chains import (
     is_weakly_increasing,
     iter_saturated_chains,
 )
+from invbruhat.moves import ct
 from invbruhat.perms import enumerate_involutions, identity, parse_perm, reversal
 
 
@@ -70,20 +71,13 @@ def test_interval_chains_include_both_witness_routes():
     assert words("126453", "216453") in routes
 
 
-def test_chain_verify_replays_moves():
-    chain = increasing_chain(*words("124365", "426153"))
-    chain.verify()
-    broken = Chain(elements=chain.elements, labels=((1, 2),) * len(chain.labels))
-    with pytest.raises(AssertionError):
-        broken.verify()
-
-
 def test_uniqueness_and_lex_minimality_exhaustive():
     # in every interval: exactly one weakly increasing chain, exactly one
     # strictly decreasing one (which is the only weakly decreasing one),
     # greedy constructions find them, the increasing one is lex-minimal,
-    # and every label's first coordinate is at least the first position
-    # where the bottom and top words differ
+    # every label's first coordinate is at least the first position where
+    # the bottom and top words differ, and every step is the move its
+    # label names
     for n in range(2, 6):
         for p, q in comparable_pairs(n):
             chains = all_saturated_chains(p, q, max_chains=100_000)
@@ -104,6 +98,8 @@ def test_uniqueness_and_lex_minimality_exhaustive():
                      if a != b)
             for c in chains:
                 assert all(i >= h for i, _ in c.labels)
+                for x, y, label in zip(c.elements, c.elements[1:], c.labels):
+                    assert ct(x, label) == y
 
 
 def test_chain_guard_trips_on_big_interval():

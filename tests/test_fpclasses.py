@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,6 @@ from invbruhat.fpclasses import (
     poset_rank,
     rank_in_involutions,
     rank_value,
-    spec_at_least,
-    spec_at_most,
-    spec_between,
     top_element,
 )
 from invbruhat.moves import cover_map
@@ -73,14 +71,6 @@ def test_spec_derived_parameters():
     assert make_spec(8, {0, 4}).run_params() is None
     assert make_spec(8, {8}).run_params() is None
     assert make_spec(8, {8}).a_tilde is None
-
-
-def test_shape_helpers():
-    assert spec_at_most(7, 3).counts == frozenset({1, 3})
-    assert spec_at_least(7, 3).counts == frozenset({3, 5, 7})
-    assert spec_between(8, 2, 6).counts == frozenset({2, 4, 6})
-    with pytest.raises(ValueError):
-        spec_between(8, 4, 4)
 
 
 def test_all_specs_counts():
@@ -305,13 +295,19 @@ def is_adjacent_pairing(p):
 
 
 def test_minimal_elements_characterisation_small():
-    for n in range(1, 7):
+    # both directions on all 82 count sets at n <= 8: the minimal elements
+    # are exactly the involutions with max A fixed points whose 2-cycles
+    # are adjacent transpositions, C((n + a)/2, (n - a)/2) of them
+    for n in range(1, 9):
         for spec in all_specs(n):
             a_max = max(spec.counts)
-            for p in minimal_elements(spec):
+            shaped = tuple(p for p in enumerate_involutions(n)
+                           if num_fixed_points(p) == a_max
+                           and is_adjacent_pairing(p))
+            assert minimal_elements(spec) == shaped, spec
+            assert len(shaped) == comb((n + a_max) // 2, (n - a_max) // 2)
+            for p in shaped:
                 assert rank_in_involutions(p) == (n - a_max) // 2
-                assert num_fixed_points(p) == a_max
-                assert is_adjacent_pairing(p)
 
 
 def test_poset_rank_examples():

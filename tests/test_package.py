@@ -7,7 +7,12 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import invbruhat
+from invbruhat.cli import main
+from invbruhat.fpclasses import enumerate_class, involution_view
+from invbruhat.moves import covers
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,6 +27,19 @@ def test_every_cache_is_bounded():
                     value.cache_parameters()["maxsize"]
     assert {"moves.covers", "bruhat.bruhat_leq"} <= set(cached)
     assert all(size is not None for size in cached.values()), cached
+
+
+def test_no_cache_holds_what_no_command_reads(capsys):
+    """The whole order is built from the uncached move scan, classes are
+    not cached, and hasse takes no one-value --format option."""
+    covers.cache_clear()
+    involution_view.__wrapped__(7)
+    assert covers.cache_info().currsize == 0
+    assert not hasattr(enumerate_class, "cache_info")
+    with pytest.raises(SystemExit) as exc:
+        main(["hasse", "--n", "4", "--classes", "0", "--format", "dot"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_benchmark_tracer_wraps_every_layer():
