@@ -6,20 +6,24 @@ For a permutation w and 1 <= k, l <= n, the dot table counts
 every entry of v's table is <= that of w's: one subtraction on the
 tables packed into ints, 5 bits an entry.
 
-``PosetView`` holds elements and covering edges and derives the index
-and the down-set bitmasks; ``restrict`` reads off the order
-induced on a subset, so a class view is the involution order (built from
-the covering moves) restricted to the class.  Covers are sorted position
-pairs (i, j) with i < j, so a view lists its elements in a linear
-extension and every walk over the order walks the positions.  Word order
-is one: if v < w differ first at position i, the dot criterion on row i
-gives v(i) < w(i).  ``UniverseIndex`` and ``poset_view`` compute the
-order on an explicit universe by the dot criterion alone: they are the
-oracle the covering moves are checked against.
+``PosetView`` holds elements and covering edges and derives the closed
+down-set bitmasks (each element's down-set includes the element);
+``restrict`` reads off the order induced on a subset of positions, so a
+class view is the involution order (built from the covering moves)
+restricted to the class.  ``adjoin_bottom`` adds a least element at
+position 0 and ``drop_bottom`` removes the element there, neither with a
+peel.  Covers are sorted position pairs (i, j) with i < j, so a view
+lists its elements in a linear extension and every walk over the order
+walks the positions.  Word order is one: if v < w differ first at
+position i, the dot criterion on row i gives v(i) < w(i).
+``UniverseIndex`` and ``poset_view`` compute the order on an explicit
+universe by the dot criterion alone: they are the oracle the covering
+moves are checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, starmap
@@ -38,7 +42,8 @@ _GUARDS = tuple(sum(1 << _FIELD * f + _FIELD - 1 for f in range(n * n))
                 for n in range(MAX_N + 1))  # the guard bits, per size n
 
 
-# 1 << 14 entries hold all 9,496 involutions of size 10.
+# 1 << 14 entries hold all 9,496 involutions of size 10, not the 35,696 of
+# size 11; no command builds a whole order from dot tables.
 @lru_cache(maxsize=1 << 14)
 def dot_table(p: Perm) -> int:
     """The counts w[k, l] = |{i <= k : w(i) >= l}|, entry (k, l) packed
@@ -84,8 +89,7 @@ class PosetView:
     ``elements[j]`` covers ``elements[i]``.  ``labels`` is None or aligned
     with ``covers``: a cover's rise label when it is a cover of the ambient
     involution order, else None.  Both are checked on construction; the
-    derived members, the index and the down-sets, are computed on first
-    use and cached.
+    closed down-sets are computed on first use and cached.
     """
 
     elements: tuple[Perm, ...]
@@ -104,44 +108,60 @@ class PosetView:
             raise ValueError("labels are not aligned with covers")
 
     @cached_property
-    def index(self) -> dict[Perm, int]:
-        """Element -> position in ``elements``."""
-        return {p: i for i, p in enumerate(self.elements)}
-
-    @cached_property
     def down(self) -> tuple[int, ...]:
-        """Strict down-set of each element as a bitmask over positions."""
-        down = [0] * len(self.elements)
+        """Closed down-set of each element, itself included, as a bitmask
+        over positions."""
+        down = [1 << i for i in range(len(self.elements))]
         for i, j in self.covers:  # covers into i start below i, so came first
-            down[j] |= 1 << i | down[i]
+            down[j] |= down[i]
         return tuple(down)
 
-    def restrict(self, subset) -> PosetView:
-        """The order induced on ``subset`` of the elements, listed in this
-        view's order and unlabelled even when this view is labelled.
+    def restrict(self, where) -> PosetView:
+        """The order induced on the elements at the ascending positions
+        ``where``, listed in this view's order and unlabelled even when
+        this view is labelled.
 
         The highest position below y in the subset is a maximal element
-        there, so a lower cover of y; peeling it off with its down-set
-        and repeating yields each lower cover once.  Each cover is filed
-        under its lower end as y ascends, so reading the files in order
-        gives the covers sorted.
+        there, so a lower cover of y; peeling it off with its closed
+        down-set and repeating yields each lower cover once.  Each cover
+        is filed under its lower end as y ascends, so reading the files
+        in order gives the covers sorted.
         """
-        index, down = self.index, self.down
-        where = sorted({index[p] for p in subset})
+        down = self.down
         mask = sum(1 << i for i in where)
         local = [0] * len(down)  # position here -> position in the subset
         for k, i in enumerate(where):
             local[i] = k
         files = [[] for _ in where]  # the covers out of each element
         for k, y in enumerate(where):
-            below = down[y] & mask
+            below = down[y] & mask ^ 1 << y
             while below:
                 x = below.bit_length() - 1
                 i = local[x]
                 files[i].append((i, k))
-                below ^= (below & down[x]) | (1 << x)  # drop x and its down-set
-        return PosetView(elements=tuple(self.elements[i] for i in where),
+                below ^= below & down[x]  # drop x and its down-set
+        return PosetView(elements=tuple(map(self.elements.__getitem__, where)),
                          covers=tuple(chain.from_iterable(files)))
+
+    def adjoin_bottom(self, bottom: Perm) -> PosetView:
+        """This order with ``bottom`` added below every element, at
+        position 0: it is covered by exactly this view's minimal
+        elements, and every other cover moves up one position.  The
+        result is unlabelled."""
+        covered = {j for _, j in self.covers}
+        covers = [(0, j + 1) for j in range(len(self.elements))
+                  if j not in covered]
+        covers += [(i + 1, j + 1) for i, j in self.covers]
+        return PosetView(elements=(bottom, *self.elements),
+                         covers=tuple(covers))
+
+    def drop_bottom(self) -> PosetView:
+        """The order induced on every element but the one at position 0.
+        That element is minimal, so only its own covers go, and every
+        other cover moves down one position.  The result is unlabelled."""
+        rest = self.covers[bisect_left(self.covers, (1,)):]
+        return PosetView(elements=self.elements[1:],
+                         covers=tuple([(i - 1, j - 1) for i, j in rest]))
 
 
 class UniverseIndex:

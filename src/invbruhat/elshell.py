@@ -9,14 +9,15 @@ ambient involution order when they are covers there; covers that jump
 more than one ambient rank carry no label and make EL verification
 inapplicable.
 
-``el_check`` takes the bottoms x in descending position and makes one pass
-over x's out-edges in label-key order.  From the sets already built for
-x's upper covers it builds, as int bitmasks over the view's positions,
-the tops y reached from x by at least one and by at least two weakly
-increasing chains, and the tops whose lexicographically minimal chain
-from x rises.  That costs O(covers) big-int operations instead of a
-chain search per comparable pair.  ``el_check_by_enumeration`` is the
-oracle twin that lists every chain of every interval.
+``el_check`` takes the bottoms x by descending rank, and by descending
+position within a rank, and makes one pass over x's out-edges in
+label-key order.  From the sets already built for x's upper covers it
+builds, as int bitmasks over the view's positions, the tops y reached
+from x by at least one and by at least two weakly increasing chains, and
+the tops whose lexicographically minimal chain from x rises.  That costs
+O(covers) big-int operations instead of a chain search per comparable
+pair.  ``el_check_by_enumeration`` is the oracle twin that lists every
+chain of every interval.
 
 The fixed-point-free class is EL-labelled by the rise labels under the
 *reversed* lexicographic label order; the full involution order uses the
@@ -112,7 +113,8 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     """
     if view.labels is None or None in view.labels:
         return ELReport(applicable=False, is_el=False, violations=())
-    if not is_graded_bruteforce(view).graded:
+    report = is_graded_bruteforce(view)
+    if not report.graded:
         raise ValueError("view is not graded")
     m = len(view.elements)
     has_upper = {i for i, _ in view.covers}
@@ -124,11 +126,15 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
         if len({label for label, _ in edges}) != len(edges):
             raise ValueError(f"element {x} repeats a cover label")
 
-    # an element's sets are last read by its lowest lower cover
+    # An element's sets are last read by its lowest lower cover.  Bottoms
+    # are taken by descending rank, so upper covers come first and each
+    # rank's sets are freed one rank later, and by descending position
+    # within a rank, which holds all lower covers of an element.
     last_reader = {j: i for i, j in reversed(view.covers)}
     keys, one, two, below, lex_inc = ([None] * m for _ in range(5))
     violations = []
-    for x in reversed(range(m)):  # upper covers come first
+    rank = list(map(report.ranks.__getitem__, view.elements))
+    for x in sorted(range(m), key=lambda x: (-rank[x], -x)):
         edges = sorted((order.key(label), a) for label, a in out[x])
         keys[x] = [k for k, _ in edges]
         # first edge out of a that keeps a chain entering a by key k rising
@@ -178,7 +184,7 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder,
                     raise RuntimeError("chain guard exceeded")
                 return
             for label, z in out[here]:
-                if z == y or (down[y] >> z) & 1:
+                if down[y] >> z & 1:
                     word.append(label)
                     walk(z, word)
                     word.pop()
@@ -188,7 +194,7 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder,
 
     violations = []
     for y, down_y in enumerate(down):
-        for x in bits(down_y):
+        for x in bits(down_y ^ 1 << y):
             words = chains(x, y)
             keyed = [tuple(order.key(l) for l in w) for w in words]
             rising = [w for w, kw in zip(words, keyed)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, combinations, compress
 
 from .bruhat import PosetView, bruhat_less
 from .moves import covers, ct
@@ -30,6 +30,7 @@ from .perms import (
     MAX_N,
     Perm,
     enumerate_involutions,
+    identity,
     is_involution,
     num_fixed_points,
     statistics,
@@ -107,19 +108,27 @@ def in_class(p: Perm, spec: FixedPointSpec) -> bool:
 
 # As many sizes as enumerate_involutions keeps.
 @lru_cache(maxsize=8)
-def _strata(n: int) -> tuple[tuple[Perm, ...], ...]:
-    """The involutions of size n by fixed-point count: entry a holds those
-    with a fixed points, in lexicographic word order."""
-    strata: list[list[Perm]] = [[] for _ in range(n + 1)]
-    for p in enumerate_involutions(n):
-        strata[num_fixed_points(p)].append(p)
+def _strata(n: int) -> tuple[tuple[int, ...], ...]:
+    """The involutions of size n by fixed-point count: entry a holds the
+    ascending positions in ``enumerate_involutions(n)`` of those with a
+    fixed points, which are their positions in the whole order's view."""
+    strata: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, p in enumerate(enumerate_involutions(n)):
+        strata[num_fixed_points(p)].append(i)
     return tuple(map(tuple, strata))
 
 
-def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
-    """The class elements in lexicographic word order: its strata merged."""
+def _positions(spec: FixedPointSpec) -> list[int]:
+    """The ascending positions of the class elements among all
+    involutions of its size: its strata merged."""
     strata = _strata(spec.n)
-    return tuple(sorted(chain.from_iterable(strata[a] for a in spec.counts)))
+    return sorted(chain.from_iterable(strata[a] for a in spec.counts))
+
+
+def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
+    """The class elements in lexicographic word order."""
+    return tuple(map(enumerate_involutions(spec.n).__getitem__,
+                     _positions(spec)))
 
 
 # The uncached move scan, taken before anything can wrap ``covers``: the view
@@ -127,18 +136,18 @@ def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
 # never be read again by a class command.
 _scan_covers = covers.__wrapped__
 
-# Largest size whose whole involution order is built: at n = 10 its labelled
-# covers take about 0.25 s and its down-sets 6 MB; at n = 11 the covers take
-# about 1.0 s at a 71 MB peak and the down-sets 80 MB of bits.  n = 11 stays
-# out although check-graded --n 11 --all-classes passes in about 27 s at a
-# 220 MB peak: el_check on I_11 alone peaks at about 1.5 GB.
-MAX_VIEW_N = 10
+# Largest size whose whole involution order is built: at n = 11 its 35,696
+# elements and 291,946 labelled covers take about 1.0 s at a 71 MB peak and
+# its down-sets 80 MB of bits.  n = 12 stays out: the down-sets of its
+# 140,152 involutions alone would take about 1.2 GB.
+MAX_VIEW_N = 11
 
 
 @lru_cache(maxsize=8)
 def involution_view(n: int) -> PosetView:
-    """The whole involution order of size n, which class views restrict:
-    its covers are the covering moves, each with its rise label."""
+    """The whole involution order of size n, which every class view is
+    read from: its covers are the covering moves, each with its rise
+    label."""
     if n > MAX_VIEW_N:
         raise ValueError(f"size {n} above the view cap {MAX_VIEW_N}")
     elements = enumerate_involutions(n)
@@ -153,14 +162,34 @@ def involution_view(n: int) -> PosetView:
                      labels=tuple(labels))
 
 
-def class_view(spec: FixedPointSpec) -> PosetView:
-    """Covering graph of the induced order on the class.  The full count
-    set is the whole order, labels included; any other class is its
-    unlabelled restriction."""
-    whole = involution_view(spec.n)
-    if spec.counts == frozenset(range(spec.n % 2, spec.n + 1, 2)):
+def class_view(spec: FixedPointSpec, base: PosetView | None = None
+               ) -> PosetView:
+    """Covering graph of the induced order on the class, A its count set.
+
+    The full count set is the whole order, labels included.  Every other
+    class comes unlabelled, by one of three routes:
+
+    * the full set minus n is the whole order with its bottom dropped;
+    * A with n and some other count is the class of A - {n} with the
+      identity adjoined as its bottom: the identity is the least
+      involution and the first word, so it is covered by exactly the
+      minimal elements of A - {n} and no other cover changes.  ``base``
+      is that class's view when the caller holds it, else it is built;
+    * any other class is the whole order restricted to its positions,
+      the one route that peels.
+    """
+    n, whole = spec.n, involution_view(spec.n)
+    full = frozenset(range(n % 2, n + 1, 2))
+    if spec.counts == full:
         return whole
-    return whole.restrict(enumerate_class(spec))
+    if spec.counts == full - {n}:
+        return whole.drop_bottom()
+    rest = spec.counts - {n}
+    if rest and rest != spec.counts:
+        if base is None:
+            base = class_view(FixedPointSpec(n=n, counts=rest))
+        return base.adjoin_bottom(identity(n))
+    return whole.restrict(_positions(spec))
 
 
 @dataclass(frozen=True)
@@ -264,11 +293,21 @@ def top_element(spec: FixedPointSpec) -> Perm:
 
 
 def minimal_elements(spec: FixedPointSpec) -> tuple[Perm, ...]:
-    """All minimal elements of the induced order on the class: the
-    elements without a lower cover."""
-    view = class_view(spec)
-    covered = {j for _, j in view.covers}
-    return tuple(x for j, x in enumerate(view.elements) if j not in covered)
+    """All minimal elements of the induced order on the class, in word
+    order, from their closed form with no order built: the involutions
+    with a = max A fixed points whose 2-cycles are all adjacent
+    transpositions (i i+1), C((n+a)/2, (n-a)/2) of them.  This is an
+    observed fact, checked against the class views at n <= 8."""
+    n, a = spec.n, max(spec.counts)
+    blocks = (n + a) // 2  # the fixed points and the pairs, left to right
+    words = []
+    for pairs in combinations(range(blocks), (n - a) // 2):
+        word: list[int] = []
+        for b in range(blocks):
+            v = len(word) + 1
+            word += (v + 1, v) if b in pairs else (v,)
+        words.append(tuple(word))
+    return tuple(sorted(words))
 
 
 @dataclass(frozen=True)

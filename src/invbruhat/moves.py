@@ -115,7 +115,9 @@ def ct(p: Perm, label: Label) -> Perm:
     return _move(p, *label)
 
 
-# 1 << 14 entries hold all 9,496 involutions of size 10.
+# 1 << 14 entries hold all 9,496 involutions of size 10, not the 35,696 of
+# size 11; the whole order is built from the uncached scan, so this cache
+# serves point queries and the labels of proper classes.
 @lru_cache(maxsize=1 << 14)
 def covers(p: Perm) -> tuple[tuple[Label, Perm], ...]:
     """All covering moves of p, sorted by label: the upper covers of p in

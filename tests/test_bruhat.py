@@ -235,3 +235,38 @@ def test_view_with_unsorted_covers_or_misaligned_labels_is_rejected(
 def test_view_with_a_cover_out_of_range_is_rejected(covers):
     with pytest.raises(ValueError):
         PosetView(elements=words("123", "132", "213"), covers=covers)
+
+
+def test_down_sets_are_closed_and_agree_with_the_dot_criterion():
+    idx = UniverseIndex(enumerate_involutions(6))
+    view = poset_view(idx.elements)
+    assert view.down == tuple(d | 1 << i for i, d in enumerate(idx.down))
+
+
+@pytest.mark.parametrize("base_words", [
+    # F_6^{2}: six minimal elements, and covers that skip an ambient rank
+    [p for p in enumerate_involutions(6) if num_fixed_points(p) == 2],
+    words("2143"),  # one element
+])
+def test_adjoin_and_drop_bottom_equal_the_dot_criterion_view(base_words):
+    base = poset_view(base_words)
+    bottom = identity(len(base.elements[0]))
+    lifted = base.adjoin_bottom(bottom)
+    direct = poset_view([bottom, *base_words])
+    assert (lifted.elements, lifted.covers) == (direct.elements, direct.covers)
+    assert lifted.labels is None
+    minimal = set(range(len(base.elements))) - {j for _, j in base.covers}
+    assert {j - 1 for i, j in lifted.covers if i == 0} == minimal
+    dropped = lifted.drop_bottom()
+    assert (dropped.elements, dropped.covers) == (base.elements, base.covers)
+
+
+def test_drop_bottom_of_a_labelled_view_is_its_unlabelled_rest():
+    view = PosetView(elements=words("123", "132", "213", "321"),
+                     covers=((0, 1), (0, 2), (1, 3), (2, 3)),
+                     labels=((2, 3), (1, 2), (1, 3), (1, 3)))
+    dropped = view.drop_bottom()
+    assert dropped.elements == words("132", "213", "321")
+    assert dropped.covers == ((0, 2), (1, 2))
+    assert dropped.labels is None
+    assert dropped.drop_bottom().covers == ((0, 1),)

@@ -127,9 +127,9 @@ def test_chains_incomparable_exits_with_usage_error(capsys):
     ["check-graded", "--n", "13", "--all-classes"],
     ["el-verify", "--n", "13", "--classes", "1"],
     ["hasse", "--n", "13", "--classes", "13"],
-    ["hasse", "--n", "11", "--classes", "11"],
-    ["check-graded", "--n", "11", "--classes", "11"],
-    ["el-verify", "--n", "11", "--classes", "1"],
+    ["hasse", "--n", "12", "--classes", "12"],
+    ["check-graded", "--n", "12", "--classes", "12"],
+    ["el-verify", "--n", "12", "--classes", "0"],
     ["check-graded", "--n", "0", "--all-classes"],
     ["chains", "--n", "4", "--from", "1234", "--to", "2314"],
     ["chains", "--n", "8", "--from", "12345678", "--to", "87654321",
@@ -215,6 +215,22 @@ def test_all_classes_stdout_at_n10_matches_the_pinned_digests():
              "--all-classes"], capture_output=True, env=env, timeout=300)
         assert proc.returncode == 0, command
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, command
+
+
+# SHA-256 of the stdout of check-graded --n 11 --all-classes: 63 classes,
+# every one agreeing, 25 graded.
+CHECK_GRADED_N11_DIGEST = \
+    "3967408eefef7c630609e70a42562a0496f2ba1e26219fb0675ab568c5316e9c"
+
+
+@pytest.mark.slow
+def test_check_graded_stdout_at_n11_matches_the_pinned_digest():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "invbruhat.cli", "check-graded", "--n", "11",
+         "--all-classes"], capture_output=True, env=env, timeout=600)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == CHECK_GRADED_N11_DIGEST
 
 
 def test_one_class_at_the_largest_sizes_completes():

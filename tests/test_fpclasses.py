@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from invbruhat.bruhat import PosetView, bruhat_leq, poset_view
+from invbruhat.cli import main
 from invbruhat.fpclasses import (
+    MAX_VIEW_N,
     all_specs,
     class_view,
     enumerate_class,
@@ -26,6 +28,7 @@ from invbruhat.fpclasses import (
 )
 from invbruhat.moves import cover_map
 from invbruhat.perms import (
+    MAX_N,
     enumerate_involutions,
     format_perm,
     num_fixed_points,
@@ -262,10 +265,11 @@ def test_restrict_to_random_subsets_equals_dot_criterion_view(n):
     classes = {frozenset(enumerate_class(spec)) for spec in all_specs(n)}
     rng = random.Random(n)
     for _ in range(25):
-        subset = rng.sample(whole.elements,
-                            rng.randrange(1, len(whole.elements)))
+        where = sorted(rng.sample(range(len(whole.elements)),
+                                  rng.randrange(1, len(whole.elements))))
+        subset = [whole.elements[i] for i in where]
         assert frozenset(subset) not in classes
-        restricted = whole.restrict(subset)
+        restricted = whole.restrict(where)
         direct = poset_view(subset)
         assert restricted.elements == direct.elements
         assert restricted.covers == direct.covers
@@ -304,10 +308,72 @@ def test_minimal_elements_characterisation_small():
             shaped = tuple(p for p in enumerate_involutions(n)
                            if num_fixed_points(p) == a_max
                            and is_adjacent_pairing(p))
-            assert minimal_elements(spec) == shaped, spec
+            view = class_view(spec)  # the oracle: elements without a cover
+            covered = {j for _, j in view.covers}
+            by_view = tuple(x for j, x in enumerate(view.elements)
+                            if j not in covered)
+            assert minimal_elements(spec) == by_view == shaped, spec
             assert len(shaped) == comb((n + a_max) // 2, (n - a_max) // 2)
             for p in shaped:
                 assert rank_in_involutions(p) == (n - a_max) // 2
+
+
+def test_minimal_elements_past_the_view_cap_need_no_order():
+    # past the cap, building the order raises
+    for n in range(MAX_VIEW_N + 1, MAX_N + 1):
+        for spec in all_specs(n):
+            a_max = max(spec.counts)
+            lows = minimal_elements(spec)
+            assert len(lows) == comb((n + a_max) // 2, (n - a_max) // 2)
+            assert list(lows) == sorted(set(lows))
+            for p in lows:
+                assert num_fixed_points(p) == a_max and is_adjacent_pairing(p)
+
+
+def derivable_specs(n):
+    """The count sets whose views are derived rather than peeled: those
+    with n, and every count of n's parity but n."""
+    full = frozenset(range(n % 2, n + 1, 2))
+    return [spec for spec in all_specs(n)
+            if n in spec.counts or spec.counts == full - {n}]
+
+
+def test_derived_class_views_equal_the_plain_peel():
+    for n in range(1, 9):
+        whole = involution_view(n)
+        where = {p: i for i, p in enumerate(whole.elements)}
+        for spec in derivable_specs(n):
+            view = class_view(spec)
+            peeled = whole.restrict([where[p] for p in enumerate_class(spec)])
+            assert view.elements == peeled.elements, spec
+            assert view.covers == peeled.covers, spec
+
+
+def test_identity_is_covered_by_the_minimal_elements_of_the_rest():
+    for n in range(2, 9):
+        for spec in derivable_specs(n):
+            rest = spec.counts - {n}
+            if not rest or rest == spec.counts:
+                continue
+            view = class_view(spec)
+            assert view.elements[0] == tuple(range(1, n + 1))
+            above = tuple(view.elements[j] for i, j in view.covers if i == 0)
+            assert above == minimal_elements(make_spec(n, rest)), spec
+
+
+def test_check_graded_over_all_classes_peels_once_per_pair(monkeypatch,
+                                                             capsys):
+    peels = []
+    restrict = PosetView.restrict
+
+    def counted(view, where):
+        peels.append(len(where))
+        return restrict(view, where)
+
+    monkeypatch.setattr(PosetView, "restrict", counted)
+    assert main(["check-graded", "--n", "8", "--all-classes"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert len(peels) <= 15  # of 31 count sets; one per class peeled before
 
 
 def test_poset_rank_examples():
