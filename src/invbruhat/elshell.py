@@ -5,9 +5,9 @@ An edge labelling of a bounded graded poset is an EL-labelling when
 every interval has exactly one saturated chain with a weakly increasing
 label word, and that chain is lexicographically minimal among the
 interval's chains.  Covers of a class view inherit the rise label of the
-ambient involution order when they are covers there; covers that jump
-more than one ambient rank carry no label and make EL verification
-inapplicable.
+ambient involution order when they are covers there, looked up in the
+whole order's labelled covers; covers that jump more than one ambient
+rank carry no label and make EL verification inapplicable.
 
 ``el_check`` takes the bottoms x by descending rank, and by descending
 position within a rank, and makes one pass over x's out-edges in
@@ -31,20 +31,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
-from operator import itemgetter
 
-from .bruhat import PosetView, bits, bruhat_less
+from .bruhat import Label, PosetView, bits, bruhat_less
 from .chains import Chain, decreasing_chain, increasing_chain
 from .fpclasses import (
     FixedPointSpec,
+    _positions,
     class_view,
     enumerate_class,
     in_class,
+    involution_view,
     is_graded_bruteforce,
     rank_in_involutions,
 )
-from .moves import Label, cover_map
 from .perms import Perm, count_involutions, num_fixed_points
 
 
@@ -68,16 +67,18 @@ class ELReport:
 def labelled_class_view(spec: FixedPointSpec) -> PosetView:
     """Class covering graph with each cover carrying its rise label when
     it is also a cover of the full involution order, else None.  The whole
-    order comes labelled; a proper class's view is labelled here."""
+    order and {identity} come labelled; any other class's cover (i, j) is
+    looked up in the whole order at the class's positions of i and j."""
     view = class_view(spec)
     if view.labels is not None:
         return view
-    e = view.elements
-    labels = []
-    for i, group in groupby(view.covers, key=itemgetter(0)):
-        upper = cover_map(e[i])  # once per lower end: covers are sorted
-        labels += [upper.get(e[j]) for _, j in group]
-    return PosetView(elements=e, covers=view.covers, labels=tuple(labels))
+    whole, where = involution_view(spec.n), _positions(spec)
+    labels, k = [], 0
+    for i, j in view.covers:  # sorted, and so are the pairs they map to;
+        pair = where[i], where[j]  # the whole order's last cover bounds it
+        k = bisect_left(whole.covers, pair, k)
+        labels.append(whole.labels[k] if whole.covers[k] == pair else None)
+    return PosetView(view.elements, view.covers, tuple(labels))
 
 
 def _labelled_out_edges(view: PosetView) -> list[list[tuple[Label, int]]]:

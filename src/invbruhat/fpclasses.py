@@ -132,8 +132,8 @@ def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
 
 
 # The uncached move scan, taken before anything can wrap ``covers``: the view
-# below keeps every cover of I_n, and a second copy in the covers cache would
-# never be read again by a class command.
+# below keeps every cover of I_n with its label, which every class view reads,
+# so a second copy in the covers cache would never be read by a class command.
 _scan_covers = covers.__wrapped__
 
 # Largest size whose whole involution order is built: at n = 11 its 35,696
@@ -166,8 +166,8 @@ def class_view(spec: FixedPointSpec, base: PosetView | None = None
                ) -> PosetView:
     """Covering graph of the induced order on the class, A its count set.
 
-    The full count set is the whole order, labels included.  Every other
-    class comes unlabelled, by one of three routes:
+    The full count set is the whole order, labels included; {n} is the
+    identity alone, no order built.  Others come unlabelled, by one of:
 
     * the full set minus n is the whole order with its bottom dropped;
     * A with n and some other count is the class of A - {n} with the
@@ -178,10 +178,13 @@ def class_view(spec: FixedPointSpec, base: PosetView | None = None
     * any other class is the whole order restricted to its positions,
       the one route that peels.
     """
-    n, whole = spec.n, involution_view(spec.n)
+    n = spec.n
     full = frozenset(range(n % 2, n + 1, 2))
     if spec.counts == full:
-        return whole
+        return involution_view(n)
+    if spec.counts == {n}:
+        return PosetView(elements=(identity(n),), covers=(), labels=())
+    whole = involution_view(n)
     if spec.counts == full - {n}:
         return whole.drop_bottom()
     rest = spec.counts - {n}
@@ -335,16 +338,18 @@ def _pad(core: Perm | list[int], n: int, i: int) -> Perm:
     return tuple(word)
 
 
-def _verify_class_chain(chain, elements) -> None:
-    """Assert a chain is saturated in the induced order on ``elements``."""
+def _verify_class_chains(chains, elements) -> None:
+    """Assert chains are saturated in the induced order on ``elements``."""
     pool = set(elements)
-    for x in chain:
+    for x in chain.from_iterable(chains):
         if x not in pool:
             raise AssertionError(f"chain element {x} is outside the class")
-    for x, y in zip(chain, chain[1:]):
+    steps = [step for c in chains for step in zip(c, c[1:])]
+    for x, y in steps:
         if not bruhat_less(x, y):
             raise AssertionError(f"chain step {x} -> {y} is not an order step")
-        for z in elements:
+    for z in elements:  # each dot table read once, not once per step
+        for x, y in steps:
             if z != x and z != y and bruhat_less(x, z) and bruhat_less(z, y):
                 raise AssertionError(
                     f"chain step {x} -> {y} is not a cover: {z} lies between"
@@ -357,9 +362,7 @@ def _padded_witness(spec: FixedPointSpec, i: int, long_core,
     in the class."""
     long_chain = tuple(_pad(w, spec.n, i) for w in long_core)
     short_chain = tuple(_pad(w, spec.n, i) for w in short_core)
-    elements = enumerate_class(spec)
-    _verify_class_chain(long_chain, elements)
-    _verify_class_chain(short_chain, elements)
+    _verify_class_chains((long_chain, short_chain), enumerate_class(spec))
     return WitnessReport(spec=spec, bottom=long_chain[0], top=long_chain[-1],
                          long_chain=long_chain, short_chain=short_chain)
 

@@ -24,9 +24,9 @@ in its cycles change.  ``covers`` finds the free rises in one scan per i
 with w(i) >= i: (i, j) is one iff w(i) < w(j) < ceiling, the least w(k)
 above w(i) with i < k < j, so each free rise, suitable or not, lowers the
 ceiling to w(j).  The whole involution order is built from the uncached
-scan and keeps its labels itself; the cache of ``covers`` serves point
-queries (chains, witnesses) and ``cover_map``, which keys the labels by
-upper cover for the label pass of a proper class's view.  The moves give
+scan and holds every label a class view reads; the cache of ``covers``
+serves only point queries (chains), and ``cover_map`` is the independent
+route the tests compare class labels against.  The moves give
 exactly the Bruhat covers of involutions, which the tests check against
 an order-theoretic oracle.
 """
@@ -116,8 +116,8 @@ def ct(p: Perm, label: Label) -> Perm:
 
 
 # 1 << 14 entries hold all 9,496 involutions of size 10, not the 35,696 of
-# size 11; the whole order is built from the uncached scan, so this cache
-# serves point queries and the labels of proper classes.
+# size 11; the whole order is built from the uncached scan and holds every
+# label, so this cache serves only point queries (chains).
 @lru_cache(maxsize=1 << 14)
 def covers(p: Perm) -> tuple[tuple[Label, Perm], ...]:
     """All covering moves of p, sorted by label: the upper covers of p in

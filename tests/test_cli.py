@@ -233,6 +233,31 @@ def test_check_graded_stdout_at_n11_matches_the_pinned_digest():
     assert hashlib.sha256(proc.stdout).hexdigest() == CHECK_GRADED_N11_DIGEST
 
 
+# SHA-256 of the stdout of commands on proper classes, whose labels are
+# read from the whole order by position.
+PROPER_CLASS_DIGESTS = {
+    "hasse --n 10 --classes 2,6,10":
+        "5a1c9b6199c41720c5d9a24f8afc1e7e20de651fe69044a4c422a77fd833417d",
+    "el-verify --n 10 --classes 0,2":
+        "27474c5bffc4a9e22d541724895661862d4a3042f2cb9b8635056bc754dd7f7e",
+    "hasse --n 11 --classes 1,5,11":
+        "c7a6ba404e2bb266c1fb2d28f0aab7c80064c1beb41d88cafc83189b8ad80bd3",
+    "el-verify --n 11 --classes 1,3":
+        "6d59ab3ddbd0b57043355c6eb8944581a9570e1b7826c5ec7beb0e8daca69e65",
+}
+
+
+@pytest.mark.slow
+def test_proper_class_stdout_matches_the_pinned_digests():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for command, digest in PROPER_CLASS_DIGESTS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "invbruhat.cli", *command.split()],
+            capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, command
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, command
+
+
 def test_one_class_at_the_largest_sizes_completes():
     code, text = run_cli(["hasse", "--n", "10", "--classes", "10"])
     assert code == 0

@@ -13,7 +13,8 @@ from invbruhat.elshell import (
     fpf_decreasing_chain,
     labelled_class_view,
 )
-from invbruhat.fpclasses import all_specs, class_view, make_spec
+from invbruhat.fpclasses import (all_specs, class_view, involution_view,
+                                 make_spec)
 from invbruhat.moves import Label, cover_map
 from invbruhat.perms import (enumerate_involutions, format_perm,
                              num_fixed_points, parse_perm)
@@ -73,13 +74,25 @@ def test_labelled_class_view_marks_rank_jumps():
 
 
 def test_class_view_labels_come_from_the_upper_cover_map():
-    for n in range(1, 7):
+    checked = 0
+    for n in range(1, 9):
         for spec in all_specs(n):
+            checked += 1
             view = labelled_class_view(spec)
             assert view.covers == class_view(spec).covers
             e = view.elements
             assert view.labels == tuple(cover_map(e[i]).get(e[j])
                                         for i, j in view.covers), spec
+    assert checked == 82
+
+
+def test_the_identity_class_builds_no_order():
+    spec = make_spec(11, {11})
+    before = involution_view.cache_info()
+    plain, labelled = class_view(spec), labelled_class_view(spec)
+    assert involution_view.cache_info() == before
+    assert plain.elements == labelled.elements == (tuple(range(1, 12)),)
+    assert plain.covers == labelled.covers == labelled.labels == ()
 
 
 def test_el_check_fixed_point_free_reversed():

@@ -11,6 +11,7 @@ from invbruhat.bruhat import PosetView, bruhat_leq, poset_view
 from invbruhat.cli import main
 from invbruhat.fpclasses import (
     MAX_VIEW_N,
+    _verify_class_chains,
     all_specs,
     class_view,
     enumerate_class,
@@ -255,6 +256,8 @@ def test_full_count_set_is_the_whole_view_and_proper_classes_unlabelled():
             view = class_view(spec)
             if len(spec.counts) == n // 2 + 1:
                 assert view is involution_view(n)
+            elif spec.counts == {n}:
+                assert view.labels == ()  # the identity alone: no cover
             else:
                 assert view.labels is None, spec
 
@@ -458,6 +461,26 @@ def test_witness_chains_are_saturated_in_class():
                 z not in (x, y) and bruhat_leq(x, z) and bruhat_leq(z, y)
                 for z in elements
             )
+
+
+def test_witness_check_raises_on_each_fault():
+    w = isolated_count_witness(6, 2)
+    elements = enumerate_class(w.spec)
+    long_chain, short_chain = w.long_chain, w.short_chain
+    _verify_class_chains((long_chain, short_chain), elements)
+    outside = parse_perm("214365")  # no fixed point
+    for chains, message in [
+        ((long_chain, (short_chain[0], outside, short_chain[2])),
+         r"chain element \(2, 1, 4, 3, 6, 5\) is outside the class"),
+        ((long_chain[::-1], short_chain),
+         r"chain step \(4, 2, 6, 1, 5, 3\) -> \(4, 2, 3, 1, 6, 5\) is not "
+         r"an order step"),
+        ((long_chain, short_chain[::2]),
+         r"chain step \(1, 2, 4, 3, 6, 5\) -> \(4, 2, 6, 1, 5, 3\) is not "
+         r"a cover: \(.*\) lies between"),
+    ]:
+        with pytest.raises(AssertionError, match=message):
+            _verify_class_chains(chains, elements)
 
 
 if __name__ == "__main__":

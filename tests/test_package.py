@@ -30,11 +30,15 @@ def test_every_cache_is_bounded():
 
 
 def test_no_cache_holds_what_no_command_reads(capsys):
-    """The whole order is built from the uncached move scan, classes are
-    not cached, and hasse takes no one-value --format option."""
+    """The whole order is built from the uncached move scan, class
+    commands read their labels from it, classes are not cached, and
+    hasse takes no one-value --format option."""
     covers.cache_clear()
     involution_view.__wrapped__(7)
+    assert main(["el-verify", "--n", "6", "--classes", "0"]) == 0
+    assert main(["hasse", "--n", "6", "--classes", "2,6"]) == 0
     assert covers.cache_info().currsize == 0
+    capsys.readouterr()
     assert not hasattr(enumerate_class, "cache_info")
     with pytest.raises(SystemExit) as exc:
         main(["hasse", "--n", "4", "--classes", "0", "--format", "dot"])
