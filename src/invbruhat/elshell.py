@@ -13,8 +13,11 @@ rank carry no label and make EL verification inapplicable.
 position within a rank, and makes one pass over x's out-edges in
 label-key order.  From the sets already built for x's upper covers it
 builds, as int bitmasks over the view's positions, the tops y reached
-from x by at least one and by at least two weakly increasing chains, and
-the tops whose lexicographically minimal chain from x rises.  That costs
+from x by at least one and by at least two weakly increasing chains, the
+tops whose lexicographically minimal chain from x rises, and x's closed
+up-set.  Each of x's sets holds x's own bit when x belongs in it, so an
+edge x -> a reads a's sets as they are stored; only a chain that ends at
+a, past a's last edge, needs the one-bit set of a.  That costs
 O(covers) big-int operations instead of a chain search per comparable
 pair.  ``el_check_by_enumeration`` is the oracle twin that lists every
 chain of every interval.
@@ -102,15 +105,18 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     (bottom, top, reason) for its interval.
 
     Out-edges are taken in increasing label key.  For each bottom x,
-    ``one[x][i]`` and ``two[x][i]`` hold the tops y reached from x by at
-    least one and at least two weakly increasing chains whose first edge
-    is edge i or a later one, and ``below[x][i]`` the tops above some
-    edge before i.  As the view is graded, the lexicographically minimal
+    ``one[x][i]`` holds x and the tops y reached from x by at least one
+    weakly increasing chain whose first edge is edge i or a later one,
+    ``two[x][i]`` the tops reached by at least two such chains, and
+    ``below[x][i]`` the tops above some edge before i.  ``up[x]`` is x's
+    closed up-set.  As the view is graded, the lexicographically minimal
     chain of [x, y] starts with the lowest-key edge x -> a with a <= y,
     so edge i starts it exactly for the tops on or above its upper end
-    outside ``below[x][i]``.  ``lex_inc[x]`` holds the tops y whose
-    minimal chain from x rises.  After x's pass ``below[x][-1]`` is x's
-    strict up-set, which the passes of x's lower covers read.
+    outside ``below[x][i]``.  ``lex[x]`` holds x and the tops y whose
+    minimal chain from x rises.  An edge x -> a entering a by key k
+    continues with a's first edge j of key at least k; when a has no
+    such edge (j is past a's last edge), the chain ends at a and both
+    sets it contributes are a alone.
     """
     if view.labels is None or None in view.labels:
         return ELReport(applicable=False, is_el=False, violations=())
@@ -132,7 +138,7 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     # rank's sets are freed one rank later, and by descending position
     # within a rank, which holds all lower covers of an element.
     last_reader = {j: i for i, j in reversed(view.covers)}
-    keys, one, two, below, lex_inc = ([None] * m for _ in range(5))
+    keys, one, two, below, up, lex = ([None] * m for _ in range(6))
     violations = []
     rank = list(map(report.ranks.__getitem__, view.elements))
     for x in sorted(range(m), key=lambda x: (-rank[x], -x)):
@@ -140,29 +146,38 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
         keys[x] = [k for k, _ in edges]
         # first edge out of a that keeps a chain entering a by key k rising
         starts = [bisect_left(keys[a], k) for k, a in edges]
-        one[x], two[x] = [0] * (len(edges) + 1), [0] * (len(edges) + 1)
+        one[x], two[x] = [0] * len(edges), [0] * len(edges)
+        rising, several = 1 << x, 0
         for i in reversed(range(len(edges))):
             a, j = edges[i][1], starts[i]
-            c1 = 1 << a | one[a][j]
-            two[x][i] = two[x][i + 1] | two[a][j] | (one[x][i + 1] & c1)
-            one[x][i] = one[x][i + 1] | c1
-        below[x], lex_inc[x] = [0], 0
+            if j < len(keys[a]):
+                c1 = one[a][j]
+                several |= two[a][j] | (rising & c1)
+            else:
+                c1 = 1 << a
+            rising |= c1
+            one[x][i], two[x][i] = rising, several
+        rising ^= 1 << x
+        below[x], ux, lex[x] = [], 0, 1 << x
         for (_, a), j in zip(edges, starts):
-            reach = 1 << a | below[a][-1]
-            first = reach & ~below[x][-1]
-            lex_inc[x] |= first & (1 << a | (lex_inc[a] & ~below[a][j]))
-            below[x].append(below[x][-1] | reach)
-        rising, several = one[x][0], two[x][0]
+            below[x].append(ux)
+            if j < len(keys[a]):
+                lex[x] |= lex[a] & ~(ux | below[a][j])
+            else:
+                lex[x] |= 1 << a
+            ux |= up[a]
+        up[x] = ux | 1 << x
         for reason, tops_x in (
-            ("no-increasing-chain", below[x][-1] & ~rising),
+            ("no-increasing-chain", ux & ~rising),
             ("multiple-increasing-chains", several),
-            ("increasing-not-lex-min", rising & ~several & ~lex_inc[x]),
+            ("increasing-not-lex-min", rising & ~several & ~lex[x]),
         ):
-            violations += [(view.elements[x], view.elements[y], reason)
-                           for y in bits(tops_x)]
+            if tops_x:
+                violations += [(view.elements[x], view.elements[y], reason)
+                               for y in bits(tops_x)]
         for _, a in edges:
             if last_reader[a] == x:
-                keys[a] = one[a] = two[a] = below[a] = lex_inc[a] = None
+                keys[a] = one[a] = two[a] = below[a] = up[a] = lex[a] = None
     return _report(violations)
 
 

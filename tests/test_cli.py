@@ -258,6 +258,30 @@ def test_proper_class_stdout_matches_the_pinned_digests():
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, command
 
 
+# Exit status and SHA-256 of the stdout of el-verify at scale: standard-lex
+# EL on the whole order at n = 11, reversed-lex EL on the fixed-point-free
+# class at n = 10, and every standard-lex violation there (19,251,278 bytes).
+EL_AT_SCALE_DIGESTS = {
+    "el-verify --n 11 --all-classes": (
+        0, "649d75a2001517a4324b184c19c1b96e15bb80f725f6e5d6a308cb417213b7a3"),
+    "el-verify --n 10 --classes 0": (
+        0, "7b7d287e312c2df870ab83bfb25a010df51b80d0c6a76c9c1a6f318fae61ee0f"),
+    "el-verify --n 10 --classes 0 --order standard-lex": (
+        1, "54a25e3ae7143dec6f618155efec9cd811b86fac167ba83fc61fb5f5ad183d39"),
+}
+
+
+@pytest.mark.slow
+def test_el_verify_stdout_at_scale_matches_the_pinned_digests():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for command, (code, digest) in EL_AT_SCALE_DIGESTS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "invbruhat.cli", *command.split()],
+            capture_output=True, env=env, timeout=600)
+        assert proc.returncode == code, command
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, command
+
+
 def test_one_class_at_the_largest_sizes_completes():
     code, text = run_cli(["hasse", "--n", "10", "--classes", "10"])
     assert code == 0

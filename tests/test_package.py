@@ -11,8 +11,9 @@ import pytest
 
 import invbruhat
 from invbruhat.cli import main
-from invbruhat.fpclasses import enumerate_class, involution_view
+from invbruhat.fpclasses import MAX_VIEW_N, enumerate_class, involution_view
 from invbruhat.moves import covers
+from invbruhat.perms import MAX_N
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,3 +63,11 @@ def test_benchmark_tracer_wraps_every_layer():
     report = json.loads(proc.stdout)
     assert report["errors"] == {} and report["wrong"] == []
     assert {"bruhat.leq", "moves.covers"} <= set(report["caches"])
+
+
+def test_readme_states_the_size_caps_the_code_enforces():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    assert (f"capped at `n = {MAX_N}`, and at `n = {MAX_VIEW_N}` for "
+            "anything built on a class's order") in text
+    assert (f"`--n` outside `1..{MAX_N}` (`1..{MAX_VIEW_N}` for `hasse`, "
+            "`check-graded` and `el-verify`)") in text
