@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .bruhat import bruhat_leq
-from .moves import Label, covers
+from .bruhat import Label, bruhat_leq
+from .moves import covers
 
 DEFAULT_CHAIN_GUARD = 10_000
 

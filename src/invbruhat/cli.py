@@ -22,7 +22,6 @@ import os
 import sys
 import time
 
-from . import fpclasses
 from .chains import (
     ChainGuardExceeded,
     all_saturated_chains,
@@ -34,9 +33,13 @@ from .elshell import LabelOrder, el_check, labelled_class_view
 from .fpclasses import (
     MAX_VIEW_N,
     FixedPointSpec,
+    all_specs,
+    class_view,
     enumerate_class,
+    gapped_counts_witness,
     is_graded_bruteforce,
     is_graded_rule,
+    isolated_count_witness,
     make_spec,
     rank_in_involutions,
     rank_value,
@@ -77,12 +80,6 @@ def _view_spec_from_args(args) -> FixedPointSpec:
 
 def _record(p: Perm, spec: FixedPointSpec, graded: bool) -> dict:
     inv, exc, fixed = statistics(p)
-    if spec.counts == {spec.n}:
-        rank_class = 0
-    elif graded:
-        rank_class = rank_value(p, spec)
-    else:
-        rank_class = None
     return {
         "word": format_perm(p),
         "n": spec.n,
@@ -90,7 +87,7 @@ def _record(p: Perm, spec: FixedPointSpec, graded: bool) -> dict:
         "inv": inv,
         "exc": exc,
         "rank_in": rank_in_involutions(p),
-        "rank_class": rank_class,
+        "rank_class": rank_value(p, spec) if graded else None,
     }
 
 
@@ -129,19 +126,19 @@ def cmd_hasse(args, out) -> int:
 def cmd_check_graded(args, out) -> int:
     specs = [_view_spec_from_args(args)]
     if args.all_classes:
-        specs = fpclasses.all_specs(args.n)
+        specs = all_specs(args.n)
     # A class without n is followed by its partner, which adjoins the
     # identity to its view, so at most two views are held at once.
     graded = {}
     for spec in specs:
         if spec.counts in graded:
             continue
-        view = fpclasses.class_view(spec)
+        view = class_view(spec)
         graded[spec.counts] = is_graded_bruteforce(view).graded
         if args.all_classes and args.n not in spec.counts:
             partner = FixedPointSpec(n=args.n, counts=spec.counts | {args.n})
             graded[partner.counts] = is_graded_bruteforce(
-                fpclasses.class_view(partner, base=view)).graded
+                class_view(partner, base=view)).graded
     results = []
     all_agree = True
     for spec in specs:
@@ -291,11 +288,11 @@ def cmd_counterexample(args, out) -> int:
         if args.prop == 19:
             if args.m is not None:
                 raise UsageError("--m applies only to --prop 20")
-            witness = fpclasses.isolated_count_witness(args.n, args.i)
+            witness = isolated_count_witness(args.n, args.i)
         else:
             if args.m is None:
                 raise UsageError("--prop 20 requires --m")
-            witness = fpclasses.gapped_counts_witness(args.n, args.i, args.m)
+            witness = gapped_counts_witness(args.n, args.i, args.m)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report = {

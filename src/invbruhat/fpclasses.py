@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import chain, combinations, compress
 
 from .bruhat import PosetView, bruhat_less
-from .moves import covers, ct
+from .moves import ct, scan_covers
 from .perms import (
     MAX_N,
     Perm,
@@ -131,11 +131,6 @@ def enumerate_class(spec: FixedPointSpec) -> tuple[Perm, ...]:
                      _positions(spec)))
 
 
-# The uncached move scan, taken before anything can wrap ``covers``: the view
-# below keeps every cover of I_n with its label, which every class view reads,
-# so a second copy in the covers cache would never be read by a class command.
-_scan_covers = covers.__wrapped__
-
 # Largest size whose whole involution order is built: at n = 11 its 35,696
 # elements and 291,946 labelled covers take about 1.0 s at a 71 MB peak and
 # its down-sets 80 MB of bits.  n = 12 stays out: the down-sets of its
@@ -155,7 +150,7 @@ def involution_view(n: int) -> PosetView:
     pairs, labels = [], []
     for i, p in enumerate(elements):
         for j, label in sorted([(index[q], label)
-                                 for label, q in _scan_covers(p)]):
+                                 for label, q in scan_covers(p)]):
             pairs.append((i, j))
             labels.append(label)
     return PosetView(elements=elements, covers=tuple(pairs),
@@ -251,19 +246,14 @@ def rank_in_involutions(p: Perm) -> int:
 def rank_value(p: Perm, spec: FixedPointSpec) -> int:
     """Class rank of p: (inv + exc - n + a~)/2, plus 1 when n is in A.
 
-    Defined only for graded classes other than {identity}; refuses
-    service otherwise since no canonical rank exists.  When the identity
-    belongs to the class it is the unique minimum and sits at rank 0;
-    the shifted formula covers every other element (evaluating it at the
+    Defined only for graded classes; refuses service otherwise since no
+    canonical rank exists.  When the identity belongs to the class it is
+    the unique minimum and sits at rank 0, so {identity} has rank 0; the
+    shifted formula covers every other element (evaluating it at the
     identity would go negative once a~ < n - 2).
     """
     if not in_class(p, spec):
         raise ValueError(f"{p} is not in {spec.describe()}")
-    if spec.a_tilde is None:
-        raise ValueError(
-            "rank formula needs max(A - {n}); the one-element class "
-            "{identity} is graded of rank 0 by convention"
-        )
     if not is_graded_rule(spec):
         raise ValueError(f"{spec.describe()} is not graded; no rank function")
     if spec.n in spec.counts and num_fixed_points(p) == spec.n:
@@ -276,8 +266,6 @@ def rank_value(p: Perm, spec: FixedPointSpec) -> int:
 
 def poset_rank(spec: FixedPointSpec) -> int:
     """Rank of the whole graded class: the class rank of its maximum."""
-    if spec.counts == {spec.n}:
-        return 0
     return rank_value(top_element(spec), spec)
 
 

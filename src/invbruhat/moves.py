@@ -20,15 +20,15 @@ first, so ct(w)(x) = w(c(x))):
     T4: c = (i j)(w(i) w(j)) T5: c = (i j w(j) w(i)) T6: c = (i j)(w(i) w(j))
 
 Each move is written from this table directly: only the 2 to 4 positions
-in its cycles change.  ``covers`` finds the free rises in one scan per i
-with w(i) >= i: (i, j) is one iff w(i) < w(j) < ceiling, the least w(k)
-above w(i) with i < k < j, so each free rise, suitable or not, lowers the
-ceiling to w(j).  The whole involution order is built from the uncached
-scan and holds every label a class view reads; the cache of ``covers``
-serves only point queries (chains), and ``cover_map`` is the independent
-route the tests compare class labels against.  The moves give
-exactly the Bruhat covers of involutions, which the tests check against
-an order-theoretic oracle.
+in its cycles change.  ``scan_covers`` finds the free rises in one scan
+per i with w(i) >= i: (i, j) is one iff w(i) < w(j) < ceiling, the least
+w(k) above w(i) with i < k < j, so each free rise, suitable or not, lowers
+the ceiling to w(j).  The whole involution order is built from
+``scan_covers`` and holds every label a class view reads; ``covers`` is the
+same scan behind a bounded cache, which serves only point queries
+(chains), and ``cover_map`` is the independent route the tests compare
+class labels against.  The moves give exactly the Bruhat covers of
+involutions, which the tests check against an order-theoretic oracle.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
+from .bruhat import Label
 from .perms import Perm, is_involution
-
-Label = tuple[int, int]
 
 
 class RiseClass(Enum):
@@ -115,11 +114,7 @@ def ct(p: Perm, label: Label) -> Perm:
     return _move(p, *label)
 
 
-# 1 << 14 entries hold all 9,496 involutions of size 10, not the 35,696 of
-# size 11; the whole order is built from the uncached scan and holds every
-# label, so this cache serves only point queries (chains).
-@lru_cache(maxsize=1 << 14)
-def covers(p: Perm) -> tuple[tuple[Label, Perm], ...]:
+def scan_covers(p: Perm) -> tuple[tuple[Label, Perm], ...]:
     """All covering moves of p, sorted by label: the upper covers of p in
     the Bruhat order on involutions.  One scan per i with p(i) >= i finds
     the free rises (i, j) as p(i) < p(j) < ceiling, the least p(k) above
@@ -139,6 +134,12 @@ def covers(p: Perm) -> tuple[tuple[Label, Perm], ...]:
                 if q is not None:
                     out.append(((i, j), q))
     return tuple(out)
+
+
+# 1 << 14 entries hold all 9,496 involutions of size 10, not the 35,696 of
+# size 11.  The whole order is built from ``scan_covers`` and holds every
+# label, so this cache serves only point queries (chains).
+covers = lru_cache(maxsize=1 << 14)(scan_covers)
 
 
 def cover_map(p: Perm) -> dict[Perm, Label]:

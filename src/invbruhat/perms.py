@@ -94,11 +94,12 @@ def count_involutions(n: int) -> int:
     return b
 
 
-def iter_involutions(n: int) -> Iterator[Perm]:
-    """Yield the involutions of S_n in lexicographic order of one-line
-    words.  The least unplaced position i is fixed first, then paired with
-    each larger unplaced j in increasing order, so the value at i, the
-    first position still open, only grows."""
+@lru_cache(maxsize=8)
+def enumerate_involutions(n: int) -> tuple[Perm, ...]:
+    """All involutions of S_n in lexicographic order of one-line words.
+    The least unplaced position i is fixed first, then paired with each
+    larger unplaced j in increasing order, so the value at i, the first
+    position still open, only grows."""
     if n > MAX_N:
         raise ValueError(f"size {n} exceeds the supported cap {MAX_N}")
     word = [0] * n
@@ -115,14 +116,7 @@ def iter_involutions(n: int) -> Iterator[Perm]:
             yield from extend(free[1:k] + free[k + 1:])
         word[i - 1] = 0
 
-    yield from extend(tuple(range(1, n + 1)))
-
-
-@lru_cache(maxsize=8)
-def enumerate_involutions(n: int) -> tuple[Perm, ...]:
-    """All involutions of S_n, in the lexicographic order of one-line words
-    that ``iter_involutions`` yields them in."""
-    return tuple(iter_involutions(n))
+    return tuple(extend(tuple(range(1, n + 1))))
 
 
 def brute_force_involutions(n: int) -> tuple[Perm, ...]:

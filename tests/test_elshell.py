@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from invbruhat.bruhat import PosetView, UniverseIndex, bits
+from invbruhat.bruhat import Label, PosetView, UniverseIndex, bits
 from invbruhat.elshell import (
+    ELReport,
     LabelOrder,
     el_check,
     el_check_by_enumeration,
@@ -13,9 +14,9 @@ from invbruhat.elshell import (
     fpf_decreasing_chain,
     labelled_class_view,
 )
-from invbruhat.fpclasses import (all_specs, class_view, involution_view,
-                                 make_spec)
-from invbruhat.moves import Label, cover_map
+from invbruhat.fpclasses import (MAX_VIEW_N, all_specs, class_view,
+                                 involution_view, make_spec)
+from invbruhat.moves import cover_map, covers
 from invbruhat.perms import (enumerate_involutions, format_perm,
                              num_fixed_points, parse_perm)
 
@@ -225,13 +226,8 @@ def test_el_check_not_applicable_with_unlabelled_covers():
 
 
 def test_el_check_rejects_ungraded_view():
-    a, b, c = words("1234", "2134", "2143")
-    view = labelled_view(
-        elements=(a, b, c),
-        labels={(a, b): (1, 2), (b, c): (3, 4), (a, c): (1, 3)},
-    )
     with pytest.raises(ValueError):
-        el_check(view, LabelOrder.STANDARD_LEX)
+        el_check(ungraded_view(), LabelOrder.STANDARD_LEX)
 
 
 def test_el_check_rejects_unbounded_view():
@@ -242,6 +238,40 @@ def test_el_check_rejects_unbounded_view():
     )
     with pytest.raises(ValueError):
         el_check(view, LabelOrder.STANDARD_LEX)
+
+
+def ungraded_view():
+    a, b, c = words("1234", "2134", "2143")
+    return labelled_view(
+        elements=(a, b, c),
+        labels={(a, b): (1, 2), (b, c): (3, 4), (a, c): (1, 3)},
+    )
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: covers((2, 3, 1)), "not an involution"),
+    (lambda: parse_perm("1,x,3"), "bad permutation word"),
+    (lambda: involution_view(MAX_VIEW_N + 1), "above the view cap"),
+    (lambda: UniverseIndex([]), "empty universe"),
+    (lambda: el_check(diamond(((1, 2), (3, 4)), ((1, 2), (3, 5))),
+                      LabelOrder.STANDARD_LEX), "repeats a cover label"),
+    (lambda: el_check_by_enumeration(labelled_class_view(make_spec(6, {2})),
+                                     LabelOrder.STANDARD_LEX),
+     ELReport(applicable=False, is_el=False, violations=())),
+    (lambda: el_check_by_enumeration(ungraded_view(),
+                                     LabelOrder.STANDARD_LEX),
+     "view is not graded"),
+], ids=["covers-non-involution", "parse-bad-word", "view-above-cap",
+        "empty-universe", "repeated-label", "enumeration-unlabelled",
+        "enumeration-ungraded"])
+def test_each_guard_raises_or_reports(call, expected):
+    """Guards the other tests never reach: each raises ValueError with its
+    message, or returns the not-applicable report."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_fpf_decreasing_chain_example():

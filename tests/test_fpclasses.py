@@ -185,8 +185,7 @@ def test_rank_value_errors():
         rank_value(parse_perm("2143"), make_spec(4, {2}))  # not in class
     with pytest.raises(ValueError):
         rank_value(parse_perm("124365"), make_spec(6, {2}))  # not graded
-    with pytest.raises(ValueError):
-        rank_value(parse_perm("1234"), make_spec(4, {4}))  # needs a~
+    assert rank_value(parse_perm("1234"), make_spec(4, {4})) == 0
 
 
 def test_rank_in_involutions_examples():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -16,6 +18,19 @@ from invbruhat.moves import covers
 from invbruhat.perms import MAX_N
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "invbruhat"
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module's own top level defines, imports aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
 
 
 def test_every_cache_is_bounded():
@@ -71,3 +86,35 @@ def test_readme_states_the_size_caps_the_code_enforces():
             "anything built on a class's order") in text
     assert (f"`--n` outside `1..{MAX_N}` (`1..{MAX_VIEW_N}` for `hasse`, "
             "`check-graded` and `el-verify`)") in text
+
+
+def test_every_name_has_one_definition_and_one_import_path():
+    """Each name is defined in one module and imported from that module;
+    the package root binds nothing but its submodules."""
+    defined = {path.stem: top_level_names(ast.parse(path.read_text()))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    owners = {}
+    for module, names in defined.items():
+        for name in names:
+            owners.setdefault(name, []).append(module)
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+
+    wrong = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                module = node.module or "__init__"
+            elif (node.module or "").startswith("invbruhat"):
+                module = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            wrong += [f"{path.name}: {module}.{alias.name}"
+                      for alias in node.names
+                      if alias.name not in defined[module]]
+    assert wrong == []
+
+    public = {name for name, value in vars(invbruhat).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set()
