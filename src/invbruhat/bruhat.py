@@ -57,7 +57,7 @@ def dot_table(p: Perm) -> int:
 
 
 # Kept for perfbench's tracer, which reads its cache_info; a chains-n8 pass
-# fills 40,182 to 41,266 of its 65,536 entries (seeds 1, 5 and 12).
+# fills 40,253 to 41,343 of its 65,536 entries (traced seeds 1, 5, 11, 12).
 @lru_cache(maxsize=1 << 16)
 def bruhat_leq(p: Perm, q: Perm) -> bool:
     """True iff p <= q in the Bruhat order on S_n (dot criterion): each

@@ -7,11 +7,15 @@ whose label word is strictly decreasing (also the only weakly decreasing
 one).  Both are built greedily from the covering moves (smallest,
 respectively largest, feasible label at each step), with the
 monotonicity asserted afterwards; ``all_saturated_chains`` enumerates
-every chain of an interval and serves as the uniqueness oracle.
+every chain of an interval and serves as the uniqueness oracle.  Its
+guard is decided before any chain is built, by ``count_saturated_chains``
+bounded at the guard: that count stops as soon as it passes the guard,
+so a refused interval costs a few dozen elements, not 10,001 chains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -79,19 +83,11 @@ def decreasing_chain(p, q) -> Chain:
     return _greedy_chain(p, q, max, is_strictly_decreasing)
 
 
-def iter_saturated_chains(p, q) -> Iterator[Chain]:
-    """Yield every saturated chain from p to q, unguarded.
-
-    Depth-first, taking each element's moves in the order ``covers``
-    lists them.  Each element's feasible upper covers (those still below
-    q) are computed once per call, and the walk keeps one iterator over
-    them per open level.
-    """
+def _feasible_steps(p, q) -> Callable:
+    """x -> x's upper covers still below q, as (label, cover) pairs in the
+    order ``covers`` lists them, each computed once per query."""
     if not bruhat_leq(p, q):
         raise ValueError(f"{p} is not <= {q} in Bruhat order")
-    if p == q:
-        yield Chain((p,), ())
-        return
     feasible = {}
 
     def steps(x):
@@ -99,9 +95,58 @@ def iter_saturated_chains(p, q) -> Iterator[Chain]:
         if found is None:
             found = feasible[x] = [(l, r) for l, r in covers(x)
                                    if bruhat_leq(r, q)]
-        return iter(found)
+        return found
 
-    elements, labels, stack = [p], [], [steps(p)]
+    return steps
+
+
+def _count(p, q, steps, limit) -> int:
+    """The number of saturated chains from p to q, or a number past
+    ``limit`` as soon as one is seen.
+
+    A memoized depth-first sum: each element's count is the sum of its
+    feasible upper covers' counts.  Every element reached lies on a chain
+    from p, so the partial sum of any open element bounds p's count from
+    below, and the sum stops once one passes ``limit``.
+    """
+    if p == q:
+        return 1
+    counts = {q: 1}
+    stack, partial = [(p, iter(steps(p)))], [0]
+    while stack:
+        x, moves = stack[-1]
+        for _, r in moves:
+            found = counts.get(r)
+            if found is None:
+                stack.append((r, iter(steps(r))))
+                partial.append(0)
+                break
+            partial[-1] += found
+            if partial[-1] > limit:
+                return partial[-1]
+        else:
+            stack.pop()
+            counts[x] = done = partial.pop()
+            if not stack:
+                return done
+            partial[-1] += done
+            if partial[-1] > limit:
+                return partial[-1]
+
+
+def count_saturated_chains(p, q, max_chains: int | None = None) -> int:
+    """The number of saturated chains from p to q.  Given ``max_chains``,
+    the count may stop at any number past it once it is sure to exceed it."""
+    limit = math.inf if max_chains is None else max_chains
+    return _count(p, q, _feasible_steps(p, q), limit)
+
+
+def _walk(p, q, steps) -> Iterator[Chain]:
+    """Depth-first over ``steps``, one iterator over them per open level."""
+    if p == q:
+        yield Chain((p,), ())
+        return
+    elements, labels, stack = [p], [], [iter(steps(p))]
     while stack:
         for label, r in stack[-1]:
             if r == q:
@@ -109,7 +154,7 @@ def iter_saturated_chains(p, q) -> Iterator[Chain]:
                 continue
             elements.append(r)
             labels.append(label)
-            stack.append(steps(r))
+            stack.append(iter(steps(r)))
             break
         else:
             stack.pop()
@@ -118,13 +163,28 @@ def iter_saturated_chains(p, q) -> Iterator[Chain]:
                 labels.pop()
 
 
+def iter_saturated_chains(p, q) -> Iterator[Chain]:
+    """Yield every saturated chain from p to q, unguarded and lazily.
+
+    Depth-first, taking each element's moves in the order ``covers``
+    lists them.  Each element's feasible upper covers (those still below
+    q) are computed once per call.  No count is taken first, so this is
+    the route to a guard decision that is independent of
+    ``count_saturated_chains``.
+    """
+    yield from _walk(p, q, _feasible_steps(p, q))
+
+
 def all_saturated_chains(p, q, max_chains: int = DEFAULT_CHAIN_GUARD) -> list[Chain]:
-    """Every saturated chain from p to q, erroring out past ``max_chains``."""
-    out = []
-    for chain in iter_saturated_chains(p, q):
-        out.append(chain)
-        if len(out) > max_chains:
-            raise ChainGuardExceeded(
-                f"interval [{p}, {q}] has more than {max_chains} chains"
-            )
-    return out
+    """Every saturated chain from p to q, erroring out past ``max_chains``.
+
+    The guard is decided before any chain is built: the chain count,
+    bounded at ``max_chains``, runs first, and the walk below the guard
+    reads the feasible steps that the count found.
+    """
+    steps = _feasible_steps(p, q)
+    if _count(p, q, steps, max_chains) > max_chains:
+        raise ChainGuardExceeded(
+            f"interval [{p}, {q}] has more than {max_chains} chains"
+        )
+    return list(_walk(p, q, steps))

@@ -5,13 +5,14 @@ from invbruhat.chains import (
     Chain,
     ChainGuardExceeded,
     all_saturated_chains,
+    count_saturated_chains,
     decreasing_chain,
     increasing_chain,
     is_strictly_decreasing,
     is_weakly_increasing,
     iter_saturated_chains,
 )
-from invbruhat.moves import ct
+from invbruhat.moves import covers, ct
 from invbruhat.perms import enumerate_involutions, identity, parse_perm, reversal
 
 
@@ -54,7 +55,8 @@ def test_decreasing_chain_example():
 
 
 def test_incomparable_endpoints_rejected():
-    for make in (increasing_chain, decreasing_chain, all_saturated_chains):
+    for make in (increasing_chain, decreasing_chain, all_saturated_chains,
+                 count_saturated_chains):
         with pytest.raises(ValueError):
             make(*words("2143", "1234"))
 
@@ -103,26 +105,58 @@ def test_uniqueness_and_lex_minimality_exhaustive():
 
 
 def test_chain_guard_trips_on_big_interval():
+    p, q = identity(6), reversal(6)
     with pytest.raises(ChainGuardExceeded):
-        all_saturated_chains(identity(6), reversal(6))
-    lazily = sum(1 for _ in iter_saturated_chains(identity(6), reversal(6)))
+        all_saturated_chains(p, q)
+    lazily = sum(1 for _ in iter_saturated_chains(p, q))
     assert lazily == 18144
+    # the guard's boundary is exact
+    assert len(all_saturated_chains(p, q, max_chains=18_144)) == 18_144
+    with pytest.raises(ChainGuardExceeded) as exc:
+        all_saturated_chains(p, q, max_chains=18_143)
+    assert str(exc.value) == f"interval [{p}, {q}] has more than 18143 chains"
+
+
+def test_guard_trip_stops_the_count_early():
+    # an exact count of identity -> reversal at n = 12 would scan all
+    # 140,152 elements of I_12; the bounded one stops after about 100
+    covers.cache_clear()
+    with pytest.raises(ChainGuardExceeded):
+        all_saturated_chains(identity(12), reversal(12))
+    assert covers.cache_info().misses < 1_000
+
+
+def dot_criterion_counts(n):
+    """(p, q, number of chains from p to q) for every comparable pair,
+    counted over the dot-criterion index alone: each element's count is
+    the sum of its lower covers' counts, taken in position order (a
+    linear extension)."""
+    idx = UniverseIndex(enumerate_involutions(n))
+    lower = [[] for _ in idx.elements]
+    for i, j in idx.cover_pairs():
+        lower[j].append(i)
+    for i, p in enumerate(idx.elements):
+        count = {i: 1}
+        for j in (i, *bits(idx.up[i])):
+            if j != i:
+                count[j] = sum(count.get(k, 0) for k in lower[j])
+            yield p, idx.elements[j], count[j]
 
 
 def test_chain_counts_equal_dynamic_programming():
-    # chains from p to each q >= p, counted over the dot-criterion index
-    # alone: each element's count is the sum of its lower covers' counts,
-    # taken in position order (a linear extension)
     for n in range(1, 7):
-        idx = UniverseIndex(enumerate_involutions(n))
-        lower = [[] for _ in idx.elements]
-        for i, j in idx.cover_pairs():
-            lower[j].append(i)
-        for i, p in enumerate(idx.elements):
-            count = {i: 1}
-            for j in (i, *bits(idx.up[i])):
-                if j != i:
-                    count[j] = sum(count.get(k, 0) for k in lower[j])
-                chains = list(iter_saturated_chains(p, idx.elements[j]))
-                assert len(chains) == count[j]
-                assert len(set(chains)) == len(chains)
+        for p, q, count in dot_criterion_counts(n):
+            chains = list(iter_saturated_chains(p, q))
+            assert len(chains) == count
+            assert len(set(chains)) == len(chains)
+
+
+def test_count_saturated_chains_equals_dynamic_programming():
+    for n in range(1, 7):
+        for p, q, count in dot_criterion_counts(n):
+            assert count_saturated_chains(p, q) == count
+            assert count_saturated_chains(p, q, max_chains=count) == count
+            if count > 1:
+                assert count_saturated_chains(p, q, max_chains=count - 1) > count - 1
+    # the chain count perfbench computes on its own for the top of I_8
+    assert count_saturated_chains(identity(8), reversal(8)) == 12_453_854_976
