@@ -4,13 +4,13 @@ Saturated chains between involutions, with their label words.
 Every interval of the involution order carries exactly one chain whose
 label word is weakly increasing (it is also lex-minimal) and exactly one
 whose label word is strictly decreasing (also the only weakly decreasing
-one).  Both are built greedily from the covering moves (smallest,
-respectively largest, feasible label at each step), with the
-monotonicity asserted afterwards; ``all_saturated_chains`` enumerates
-every chain of an interval and serves as the uniqueness oracle.  Its
-guard is decided before any chain is built, by ``count_saturated_chains``
-bounded at the guard: that count stops as soon as it passes the guard,
-so a refused interval costs a few dozen elements, not 10,001 chains.
+one).  Each query reads one step map (``_feasible_steps``: an element's
+upper covers still below the top, in label order).  The greedy chains
+take its first, respectively last, step at each element and assert the
+monotonicity afterwards.  ``all_saturated_chains`` lists every chain and
+serves as the uniqueness oracle.  Its guard is decided before any chain
+is built by ``count_saturated_chains``, a memoized recursion over the
+same steps that stops once a partial sum passes the guard.
 """
 
 from __future__ import annotations
@@ -52,18 +52,18 @@ def is_strictly_decreasing(labels) -> bool:
     return all(a > b for a, b in zip(labels, labels[1:]))
 
 
-def _greedy_chain(p, q, pick: Callable, monotone: Callable) -> Chain:
-    """Pick the min or max feasible label at each step, then assert the
+def _greedy_chain(p, q, end: int, monotone: Callable) -> Chain:
+    """Take the step at index ``end`` of the feasible steps at each
+    element (0 for the least label, -1 for the greatest), then assert the
     label word is ``monotone``."""
-    if not bruhat_leq(p, q):
-        raise ValueError(f"{p} is not <= {q} in Bruhat order")
+    steps = _feasible_steps(p, q)
     elements, labels = [p], []
     x = p
     while x != q:
-        feasible = [(l, r) for l, r in covers(x) if bruhat_leq(r, q)]
-        if not feasible:
+        found = steps(x)
+        if not found:
             raise AssertionError(f"no cover of {x} stays below {q}")
-        label, x = pick(feasible)
+        label, x = found[end]
         elements.append(x)
         labels.append(label)
     if not monotone(labels):
@@ -75,17 +75,17 @@ def _greedy_chain(p, q, pick: Callable, monotone: Callable) -> Chain:
 
 def increasing_chain(p, q) -> Chain:
     """The unique chain from p to q with weakly increasing labels."""
-    return _greedy_chain(p, q, min, is_weakly_increasing)
+    return _greedy_chain(p, q, 0, is_weakly_increasing)
 
 
 def decreasing_chain(p, q) -> Chain:
     """The unique chain from p to q with strictly decreasing labels."""
-    return _greedy_chain(p, q, max, is_strictly_decreasing)
+    return _greedy_chain(p, q, -1, is_strictly_decreasing)
 
 
 def _feasible_steps(p, q) -> Callable:
     """x -> x's upper covers still below q, as (label, cover) pairs in the
-    order ``covers`` lists them, each computed once per query."""
+    order ``covers`` lists them (by label), each computed once per query."""
     if not bruhat_leq(p, q):
         raise ValueError(f"{p} is not <= {q} in Bruhat order")
     feasible = {}
@@ -104,34 +104,25 @@ def _count(p, q, steps, limit) -> int:
     """The number of saturated chains from p to q, or a number past
     ``limit`` as soon as one is seen.
 
-    A memoized depth-first sum: each element's count is the sum of its
-    feasible upper covers' counts.  Every element reached lies on a chain
-    from p, so the partial sum of any open element bounds p's count from
-    below, and the sum stops once one passes ``limit``.
+    A memoized recursion, at most the rank difference deep: each
+    element's count is the sum of its steps' counts.  Every element
+    reached lies on a chain from p, so a partial sum bounds p's count
+    from below, and it is returned, unmemoized, once it passes ``limit``.
     """
-    if p == q:
-        return 1
     counts = {q: 1}
-    stack, partial = [(p, iter(steps(p)))], [0]
-    while stack:
-        x, moves = stack[-1]
-        for _, r in moves:
-            found = counts.get(r)
-            if found is None:
-                stack.append((r, iter(steps(r))))
-                partial.append(0)
-                break
-            partial[-1] += found
-            if partial[-1] > limit:
-                return partial[-1]
-        else:
-            stack.pop()
-            counts[x] = done = partial.pop()
-            if not stack:
-                return done
-            partial[-1] += done
-            if partial[-1] > limit:
-                return partial[-1]
+
+    def count(x):
+        total = counts.get(x)
+        if total is None:
+            total = 0
+            for _, r in steps(x):
+                total += count(r)
+                if total > limit:
+                    return total
+            counts[x] = total
+        return total
+
+    return count(p)
 
 
 def count_saturated_chains(p, q, max_chains: int | None = None) -> int:
@@ -166,10 +157,9 @@ def _walk(p, q, steps) -> Iterator[Chain]:
 def iter_saturated_chains(p, q) -> Iterator[Chain]:
     """Yield every saturated chain from p to q, unguarded and lazily.
 
-    Depth-first, taking each element's moves in the order ``covers``
-    lists them.  Each element's feasible upper covers (those still below
-    q) are computed once per call.  No count is taken first, so this is
-    the route to a guard decision that is independent of
+    Depth-first, taking each element's feasible steps in label order,
+    each computed once per call.  No count is taken first, so this is the
+    route to a guard decision that is independent of
     ``count_saturated_chains``.
     """
     yield from _walk(p, q, _feasible_steps(p, q))

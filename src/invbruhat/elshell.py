@@ -36,7 +36,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bruhat import Label, PosetView, bits, bruhat_less
-from .chains import Chain, decreasing_chain, increasing_chain
+from .chains import (
+    Chain,
+    DEFAULT_CHAIN_GUARD,
+    decreasing_chain,
+    increasing_chain,
+)
 from .fpclasses import (
     FixedPointSpec,
     _positions,
@@ -181,9 +186,9 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     return _report(violations)
 
 
-def el_check_by_enumeration(view: PosetView, order: LabelOrder,
-                            max_chains: int = 10_000) -> ELReport:
-    """Oracle twin of ``el_check`` that lists every chain per interval."""
+def el_check_by_enumeration(view: PosetView, order: LabelOrder) -> ELReport:
+    """Oracle twin of ``el_check`` that lists every chain per interval,
+    refusing an interval past ``DEFAULT_CHAIN_GUARD`` chains."""
     if view.labels is None or None in view.labels:
         return ELReport(applicable=False, is_el=False, violations=())
     if not is_graded_bruteforce(view).graded:
@@ -196,7 +201,7 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder,
         def walk(here: int, word: list[Label]):
             if here == y:
                 found.append(tuple(word))
-                if len(found) > max_chains:
+                if len(found) > DEFAULT_CHAIN_GUARD:
                     raise RuntimeError("chain guard exceeded")
                 return
             for label, z in out[here]:

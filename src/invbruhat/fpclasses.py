@@ -264,11 +264,6 @@ def rank_value(p: Perm, spec: FixedPointSpec) -> int:
     return numerator // 2 + (1 if spec.n in spec.counts else 0)
 
 
-def poset_rank(spec: FixedPointSpec) -> int:
-    """Rank of the whole graded class: the class rank of its maximum."""
-    return rank_value(top_element(spec), spec)
-
-
 def top_element(spec: FixedPointSpec) -> Perm:
     """The unique Bruhat maximum of the class.
 

@@ -43,7 +43,6 @@ from invbruhat.fpclasses import (
     isolated_count_witness,
     make_spec,
     minimal_elements,
-    poset_rank,
     rank_in_involutions,
     rank_value,
     top_element,
@@ -292,15 +291,16 @@ def test_c11_poset_rank_audit():
             if not report.graded or spec.counts == {n}:
                 continue
             height = max(report.ranks.values())
-            assert poset_rank(spec) == height, spec
-    assert poset_rank(make_spec(6, {0})) == 6
-    assert poset_rank(make_spec(4, {2})) == 2
+            assert rank_value(top_element(spec), spec) == height, spec
+    for n, counts, rank in ((6, {0}, 6), (4, {2}, 2)):
+        spec = make_spec(n, counts)
+        assert rank_value(top_element(spec), spec) == rank
     n, spec = 6, make_spec(6, {0})
     displayed = Fraction(
         Fraction(n - spec.a_min, 2) * (n + spec.a_min - 1) - n + spec.a_tilde, 2
     )
     assert displayed == Fraction(9, 2)
-    assert displayed != poset_rank(spec)
+    assert displayed != rank_value(top_element(spec), spec)
     announce(11, "poset rank computed as rank_value(top) equals brute-force "
                  "height for every graded case, n in 4..8; note: the "
                  "displayed closed-form poset-rank expression evaluates to "

@@ -160,3 +160,13 @@ def test_count_saturated_chains_equals_dynamic_programming():
                 assert count_saturated_chains(p, q, max_chains=count - 1) > count - 1
     # the chain count perfbench computes on its own for the top of I_8
     assert count_saturated_chains(identity(8), reversal(8)) == 12_453_854_976
+
+
+def test_bounded_count_passes_every_limit_below_the_count():
+    for n in range(1, 6):
+        for p, q, count in dot_criterion_counts(n):
+            # the first chain found already passes a limit of 0
+            assert count_saturated_chains(p, q, max_chains=0) == 1
+            for k in range(1, count):
+                assert count_saturated_chains(p, q, max_chains=k) > k
+            assert count_saturated_chains(p, q, max_chains=count) == count

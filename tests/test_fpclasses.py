@@ -22,7 +22,6 @@ from invbruhat.fpclasses import (
     isolated_count_witness,
     make_spec,
     minimal_elements,
-    poset_rank,
     rank_in_involutions,
     rank_value,
     top_element,
@@ -410,9 +409,9 @@ def test_check_graded_over_all_classes_peels_once_per_pair(monkeypatch,
 
 
 def test_poset_rank_examples():
-    assert poset_rank(make_spec(6, {0})) == 6
-    assert poset_rank(make_spec(4, {2})) == 2
-    assert poset_rank(make_spec(4, {4})) == 0
+    for n, counts, rank in ((6, {0}, 6), (4, {2}, 2), (4, {4}, 0)):
+        spec = make_spec(n, counts)
+        assert rank_value(top_element(spec), spec) == rank
 
 
 def test_displayed_global_rank_expression_is_not_integral():
@@ -423,7 +422,7 @@ def test_displayed_global_rank_expression_is_not_integral():
     a, a_tilde = spec.a_min, spec.a_tilde
     displayed = Fraction(Fraction(n - a, 2) * (n + a - 1) - n + a_tilde, 2)
     assert displayed == Fraction(9, 2)
-    assert poset_rank(spec) == 6
+    assert rank_value(top_element(spec), spec) == 6
 
 
 def test_isolated_count_witness_words():
