@@ -44,8 +44,8 @@ from .fpclasses import (
     rank_in_involutions,
     rank_value,
 )
-from .perms import (Perm, format_perm, is_involution, num_fixed_points,
-                    parse_perm, statistics)
+from .perms import (MAX_N, Perm, format_perm, is_involution,
+                    num_fixed_points, parse_perm, statistics)
 
 
 class UsageError(Exception):
@@ -71,10 +71,14 @@ def _spec_from_args(args) -> FixedPointSpec:
         raise UsageError(str(exc)) from None
 
 
+def _check_size(args, cap: int) -> None:
+    if not 1 <= args.n <= cap:
+        raise UsageError(f"{args.command} supports sizes 1..{cap}")
+
+
 def _view_spec_from_args(args) -> FixedPointSpec:
     """The class of a command that builds the class's order view."""
-    if args.n > MAX_VIEW_N:
-        raise UsageError(f"{args.command} supports sizes up to {MAX_VIEW_N}")
+    _check_size(args, MAX_VIEW_N)
     return _spec_from_args(args)
 
 
@@ -208,6 +212,7 @@ def _all_text(chains) -> str:
 
 
 def cmd_chains(args, out) -> int:
+    _check_size(args, MAX_N)
     try:
         p = parse_perm(getattr(args, "from"))
         q = parse_perm(args.to)

@@ -89,12 +89,22 @@ def labelled_class_view(spec: FixedPointSpec) -> PosetView:
     return PosetView(view.elements, view.covers, tuple(labels))
 
 
-def _labelled_out_edges(view: PosetView) -> list[list[tuple[Label, int]]]:
-    """(label, position of the upper cover) for each element's covers."""
-    out: list[list[tuple[Label, int]]] = [[] for _ in view.elements]
+def _el_preconditions(view: PosetView) -> tuple[tuple[int, ...], list]:
+    """A labelled view's ranks and (label, upper cover) out-edges, by
+    position.  ValueError if it is not graded, not bounded (one element of
+    rank 0, one of the top rank) or an element repeats a cover label."""
+    ranks = is_graded_bruteforce(view).ranks
+    if ranks is None:
+        raise ValueError("view is not graded")
+    if not ranks.count(0) == 1 == ranks.count(max(ranks)):
+        raise ValueError("view is not bounded")
+    out: list[list[tuple[Label, int]]] = [[] for _ in ranks]
     for (i, j), label in zip(view.covers, view.labels):
         out[i].append((label, j))
-    return out
+    for x, edges in zip(view.elements, out):
+        if len({label for label, _ in edges}) != len(edges):
+            raise ValueError(f"element {x} repeats a cover label")
+    return ranks, out
 
 
 def _report(violations: list[tuple[Perm, Perm, str]]) -> ELReport:
@@ -105,9 +115,9 @@ def _report(violations: list[tuple[Perm, Perm, str]]) -> ELReport:
 def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     """Verify the EL-labelling condition on every interval of ``view``.
 
-    The view must be bounded and graded (ValueError otherwise) and fully
-    labelled (reported as not applicable otherwise).  A violation lists
-    (bottom, top, reason) for its interval.
+    The view must be fully labelled (reported as not applicable
+    otherwise) and pass ``_el_preconditions`` (ValueError otherwise).  A
+    violation lists (bottom, top, reason) for its interval.
 
     Out-edges are taken in increasing label key.  For each bottom x,
     ``one[x][i]`` holds x and the tops y reached from x by at least one
@@ -125,28 +135,16 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     """
     if view.labels is None or None in view.labels:
         return ELReport(applicable=False, is_el=False, violations=())
-    report = is_graded_bruteforce(view)
-    if not report.graded:
-        raise ValueError("view is not graded")
-    m = len(view.elements)
-    has_upper = {i for i, _ in view.covers}
-    has_lower = {j for _, j in view.covers}
-    if len(has_upper) != m - 1 or len(has_lower) != m - 1:
-        raise ValueError("view is not bounded")
-    out = _labelled_out_edges(view)
-    for x, edges in zip(view.elements, out):
-        if len({label for label, _ in edges}) != len(edges):
-            raise ValueError(f"element {x} repeats a cover label")
+    ranks, out = _el_preconditions(view)
 
     # An element's sets are last read by its lowest lower cover.  Bottoms
     # are taken by descending rank, so upper covers come first and each
     # rank's sets are freed one rank later, and by descending position
     # within a rank, which holds all lower covers of an element.
     last_reader = {j: i for i, j in reversed(view.covers)}
-    keys, one, two, below, up, lex = ([None] * m for _ in range(6))
+    keys, one, two, below, up, lex = ([None] * len(ranks) for _ in range(6))
     violations = []
-    rank = list(map(report.ranks.__getitem__, view.elements))
-    for x in sorted(range(m), key=lambda x: (-rank[x], -x)):
+    for x in sorted(range(len(ranks)), key=lambda x: (-ranks[x], -x)):
         edges = sorted((order.key(label), a) for label, a in out[x])
         keys[x] = [k for k, _ in edges]
         # first edge out of a that keeps a chain entering a by key k rising
@@ -187,13 +185,11 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
 
 
 def el_check_by_enumeration(view: PosetView, order: LabelOrder) -> ELReport:
-    """Oracle twin of ``el_check`` that lists every chain per interval,
-    refusing an interval past ``DEFAULT_CHAIN_GUARD`` chains."""
+    """Oracle twin of ``el_check``, on the same preconditions, that lists
+    every chain per interval, refusing one past ``DEFAULT_CHAIN_GUARD``."""
     if view.labels is None or None in view.labels:
         return ELReport(applicable=False, is_el=False, violations=())
-    if not is_graded_bruteforce(view).graded:
-        raise ValueError("view is not graded")
-    out, down = _labelled_out_edges(view), view.down
+    out, down = _el_preconditions(view)[1], view.down
 
     def chains(x: int, y: int) -> list[tuple[Label, ...]]:
         found: list[tuple[Label, ...]] = []
@@ -216,18 +212,15 @@ def el_check_by_enumeration(view: PosetView, order: LabelOrder) -> ELReport:
     violations = []
     for y, down_y in enumerate(down):
         for x in bits(down_y ^ 1 << y):
-            words = chains(x, y)
-            keyed = [tuple(order.key(l) for l in w) for w in words]
-            rising = [w for w, kw in zip(words, keyed)
+            keyed = [tuple(map(order.key, w)) for w in chains(x, y)]
+            rising = [kw for kw in keyed
                       if all(a <= b for a, b in zip(kw, kw[1:]))]
-            if len(rising) != 1:
-                reason = "no-increasing-chain" if not rising \
-                    else "multiple-increasing-chains"
+            reason = ("no-increasing-chain" if not rising
+                      else "multiple-increasing-chains" if len(rising) > 1
+                      else "increasing-not-lex-min" if rising[0] != min(keyed)
+                      else None)
+            if reason:
                 violations.append((view.elements[x], view.elements[y], reason))
-            elif tuple(order.key(l) for l in rising[0]) != min(keyed):
-                violations.append(
-                    (view.elements[x], view.elements[y], "increasing-not-lex-min")
-                )
     return _report(violations)
 
 

@@ -193,7 +193,7 @@ def class_view(spec: FixedPointSpec, base: PosetView | None = None
 @dataclass(frozen=True)
 class GradedReport:
     graded: bool
-    ranks: dict[Perm, int] | None
+    ranks: tuple[int, ...] | None
 
 
 def is_graded_bruteforce(view: PosetView) -> GradedReport:
@@ -206,8 +206,8 @@ def is_graded_bruteforce(view: PosetView) -> GradedReport:
     every cover out of i: the first lower cover read fixes an element's
     height, and a later one at another height ends the pass.  That is
     linear in the number of covering edges, so arbitrarily chain-rich
-    posets stay cheap.  When graded, returns the unique rank map sending
-    minimal elements to 0.
+    posets stay cheap.  When graded, returns the unique ranks sending
+    minimal elements to 0, aligned with ``view.elements``.
     """
     height = [0] * len(view.elements)  # 0 until a lower cover is read
     maximal = bytearray(b"\x01") * len(height)
@@ -220,7 +220,7 @@ def is_graded_bruteforce(view: PosetView) -> GradedReport:
             return GradedReport(graded=False, ranks=None)
     if len(set(compress(height, maximal))) > 1:
         return GradedReport(graded=False, ranks=None)
-    return GradedReport(graded=True, ranks=dict(zip(view.elements, height)))
+    return GradedReport(graded=True, ranks=tuple(height))
 
 
 def is_graded_rule(spec: FixedPointSpec) -> bool:

@@ -26,9 +26,10 @@ w(k) above w(i) with i < k < j, so each free rise, suitable or not, lowers
 the ceiling to w(j).  The whole involution order is built from
 ``scan_covers`` and holds every label a class view reads; ``covers`` is the
 same scan behind a bounded cache, which serves only point queries
-(chains), and ``cover_map`` is the independent route the tests compare
-class labels against.  The moves give exactly the Bruhat covers of
-involutions, which the tests check against an order-theoretic oracle.
+(chains).  ``cover_map`` is ``covers`` as a dict, not an independent route:
+the tests read it to place class covers in the whole order, and check labels
+against ``classify_rise`` and ``ct``.  The moves give exactly the Bruhat
+covers of involutions, checked against an order-theoretic oracle.
 """
 
 from __future__ import annotations

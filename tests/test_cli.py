@@ -146,6 +146,23 @@ def test_precondition_errors_exit_2_without_output(argv, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, n, rest, cap", [
+    pytest.param("chains", n, ["--from", "1", "--to", "1"], 12,
+                 id=f"chains-{n}") for n in (0, 13)
+] + [
+    pytest.param(command, n, ["--classes", "0"], 11, id=f"{command}-{n}")
+    for command in ("hasse", "check-graded", "el-verify") for n in (-1, 0, 12)
+])
+def test_size_errors_name_the_command_s_own_range(command, n, rest, cap,
+                                                  capsys):
+    """``--n`` is checked against the command's own range before anything
+    else is read, with one message for every size outside it."""
+    assert main([command, "--n", str(n), *rest]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) \
+        == ("", f"error: {command} supports sizes 1..{cap}\n")
+
+
 @pytest.mark.parametrize("argv,lines_read", [
     (["enumerate", "--n", "10", "--all-classes"], 1),
     (["hasse", "--n", "4", "--all-classes"], 0),  # reader closed first

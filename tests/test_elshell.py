@@ -231,13 +231,17 @@ def test_el_check_rejects_ungraded_view():
 
 
 def test_el_check_rejects_unbounded_view():
+    with pytest.raises(ValueError):
+        el_check(unbounded_view(), LabelOrder.STANDARD_LEX)
+
+
+def unbounded_view():
+    """Graded, with two minimal and two maximal elements."""
     a, b, c, d = words("1234", "2134", "1243", "2143")
-    view = labelled_view(
+    return labelled_view(
         elements=(a, b, c, d),
         labels={(a, b): (1, 2), (c, d): (1, 2)},
     )
-    with pytest.raises(ValueError):
-        el_check(view, LabelOrder.STANDARD_LEX)
 
 
 def ungraded_view():
@@ -246,6 +250,41 @@ def ungraded_view():
         elements=(a, b, c),
         labels={(a, b): (1, 2), (b, c): (3, 4), (a, c): (1, 3)},
     )
+
+
+@pytest.mark.parametrize("make_view, expected", [
+    (lambda: labelled_class_view(make_spec(6, {2})),
+     ELReport(applicable=False, is_el=False, violations=())),
+    (ungraded_view, "view is not graded"),
+    (unbounded_view, "view is not bounded"),
+    (lambda: labelled_view(words("1234", "1243", "2134"),
+                           {words("1234", "1243"): (3, 4),
+                            words("1234", "2134"): (1, 2)}),
+     "view is not bounded"),
+    (lambda: labelled_view(words("1243", "2134", "2143"),
+                           {words("1243", "2143"): (1, 2),
+                            words("2134", "2143"): (3, 4)}),
+     "view is not bounded"),
+    (lambda: PosetView(elements=(), covers=(), labels=()),
+     "view is not bounded"),
+    (lambda: diamond(((1, 2), (3, 4)), ((1, 2), (3, 5))),
+     "element (1, 2, 3, 4) repeats a cover label"),
+    (lambda: PosetView(elements=words("1234"), covers=(), labels=()),
+     ELReport(applicable=True, is_el=True, violations=())),
+], ids=["unlabelled", "ungraded", "unbounded", "two-tops", "two-bottoms",
+        "empty", "repeated-label", "one-element"])
+def test_both_el_routes_return_or_refuse_alike(make_view, expected):
+    """Each route returns the expected report or raises ValueError with
+    the expected message, so the oracle refuses exactly what
+    ``el_check`` refuses."""
+    view = make_view()
+    for route in (el_check, el_check_by_enumeration):
+        for order in LabelOrder:
+            try:
+                outcome = route(view, order)
+            except ValueError as exc:
+                outcome = str(exc)
+            assert outcome == expected, (route.__name__, order)
 
 
 @pytest.mark.parametrize("call, expected", [
