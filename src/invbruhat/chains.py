@@ -9,8 +9,10 @@ upper covers still below the top, in label order).  The greedy chains
 take its first, respectively last, step at each element and assert the
 monotonicity afterwards.  ``all_saturated_chains`` lists every chain and
 serves as the uniqueness oracle.  Its guard is decided before any chain
-is built by ``count_saturated_chains``, a memoized recursion over the
-same steps that stops once a partial sum passes the guard.
+is built by a bounded chain count, a memoized recursion over the same
+steps that stops once a partial sum passes the guard.  The EL oracle
+lists a view's chains with the same count and walk, so every chain
+enumerator refuses in one way, ``ChainGuardExceeded``.
 """
 
 from __future__ import annotations
@@ -165,16 +167,17 @@ def iter_saturated_chains(p, q) -> Iterator[Chain]:
     yield from _walk(p, q, _feasible_steps(p, q))
 
 
-def all_saturated_chains(p, q, max_chains: int = DEFAULT_CHAIN_GUARD) -> list[Chain]:
-    """Every saturated chain from p to q, erroring out past ``max_chains``.
-
-    The guard is decided before any chain is built: the chain count,
-    bounded at ``max_chains``, runs first, and the walk below the guard
-    reads the feasible steps that the count found.
-    """
-    steps = _feasible_steps(p, q)
+def _guarded_chains(p, q, steps, max_chains: int) -> list[Chain]:
+    """Every chain from p to q over ``steps`` (x -> (label, next) pairs,
+    each next still below q), or ChainGuardExceeded past ``max_chains``,
+    decided by the bounded count before the walk reads the same steps."""
     if _count(p, q, steps, max_chains) > max_chains:
         raise ChainGuardExceeded(
             f"interval [{p}, {q}] has more than {max_chains} chains"
         )
     return list(_walk(p, q, steps))
+
+
+def all_saturated_chains(p, q, max_chains: int = DEFAULT_CHAIN_GUARD) -> list[Chain]:
+    """Every saturated chain from p to q, erroring out past ``max_chains``."""
+    return _guarded_chains(p, q, _feasible_steps(p, q), max_chains)

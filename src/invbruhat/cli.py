@@ -10,7 +10,12 @@ non-gradedness witness constructions, selected as 19 or 20).
 All machine-readable output goes to stdout and is byte-deterministic
 for fixed arguments; timing lines go to stderr.  Exit status is 0 when
 every embedded verification passes, 1 when one fails, and 2 for bad
-usage or violated preconditions.
+usage or violated preconditions.  Each subparser sets its size cap
+(``MAX_VIEW_N`` where a class's order view is built, else ``MAX_N``),
+and ``main`` checks ``--n`` against it before reading anything else, so
+every size error reads ``<command> supports sizes 1..<cap>``.
+``el-verify`` prints the ValueError of ``elshell``'s EL preconditions
+(unlabelled covers first) as a ``not-applicable`` report, exit 0.
 """
 
 from __future__ import annotations
@@ -71,17 +76,6 @@ def _spec_from_args(args) -> FixedPointSpec:
         raise UsageError(str(exc)) from None
 
 
-def _check_size(args, cap: int) -> None:
-    if not 1 <= args.n <= cap:
-        raise UsageError(f"{args.command} supports sizes 1..{cap}")
-
-
-def _view_spec_from_args(args) -> FixedPointSpec:
-    """The class of a command that builds the class's order view."""
-    _check_size(args, MAX_VIEW_N)
-    return _spec_from_args(args)
-
-
 def _record(p: Perm, spec: FixedPointSpec, graded: bool) -> dict:
     inv, exc, fixed = statistics(p)
     return {
@@ -113,7 +107,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_hasse(args, out) -> int:
-    spec = _view_spec_from_args(args)
+    spec = _spec_from_args(args)
     view = labelled_class_view(spec)
     name = spec.describe()
     out.write(f'digraph "{name}" {{\n')
@@ -128,9 +122,7 @@ def cmd_hasse(args, out) -> int:
 
 
 def cmd_check_graded(args, out) -> int:
-    specs = [_view_spec_from_args(args)]
-    if args.all_classes:
-        specs = all_specs(args.n)
+    specs = all_specs(args.n) if args.all_classes else [_spec_from_args(args)]
     # A class without n is followed by its partner, which adjoins the
     # identity to its view, so at most two views are held at once.
     graded = {}
@@ -212,7 +204,6 @@ def _all_text(chains) -> str:
 
 
 def cmd_chains(args, out) -> int:
-    _check_size(args, MAX_N)
     try:
         p = parse_perm(getattr(args, "from"))
         q = parse_perm(args.to)
@@ -254,7 +245,7 @@ def cmd_chains(args, out) -> int:
 
 
 def cmd_el_verify(args, out) -> int:
-    spec = _view_spec_from_args(args)
+    spec = _spec_from_args(args)
     if args.order == "auto":
         order = LabelOrder.REVERSED_LEX if spec.counts == {0} \
             else LabelOrder.STANDARD_LEX
@@ -269,13 +260,9 @@ def cmd_el_verify(args, out) -> int:
     }
     try:
         result = el_check(view, order)
-        reason = None if result.applicable \
-            else "some induced covers carry no label"
     except ValueError as exc:
-        reason = str(exc)
-    if reason is not None:
         report["status"] = "not-applicable"
-        report["reason"] = reason
+        report["reason"] = str(exc)
         out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return 0
     report["is_el"] = result.is_el
@@ -340,16 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="list class elements as records")
     add_class_flags(sp)
     sp.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
-    sp.set_defaults(handler=cmd_enumerate)
+    sp.set_defaults(handler=cmd_enumerate, cap=MAX_N)
 
     sp = sub.add_parser("hasse", help="covering graph in DOT format")
     add_class_flags(sp)
-    sp.set_defaults(handler=cmd_hasse)
+    sp.set_defaults(handler=cmd_hasse, cap=MAX_VIEW_N)
 
     sp = sub.add_parser("check-graded",
                         help="compare gradedness rule with brute force")
     add_class_flags(sp)
-    sp.set_defaults(handler=cmd_check_graded)
+    sp.set_defaults(handler=cmd_check_graded, cap=MAX_VIEW_N)
 
     sp = sub.add_parser("chains", help="saturated chains of an interval")
     sp.add_argument("--n", type=int, required=True)
@@ -357,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", required=True, help="top word")
     sp.add_argument("--kind", choices=["increasing", "decreasing", "all"],
                     default="all")
-    sp.set_defaults(handler=cmd_chains)
+    sp.set_defaults(handler=cmd_chains, cap=MAX_N)
 
     sp = sub.add_parser("el-verify", help="EL-labelling check for a class")
     add_class_flags(sp)
@@ -366,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto",
                     help="label order; auto picks reversed-lex for the "
                          "fixed-point-free class")
-    sp.set_defaults(handler=cmd_el_verify)
+    sp.set_defaults(handler=cmd_el_verify, cap=MAX_VIEW_N)
 
     sp = sub.add_parser("counterexample",
                         help="verified unequal-length chain constructions")
@@ -375,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--m", type=int)
-    sp.set_defaults(handler=cmd_counterexample)
+    sp.set_defaults(handler=cmd_counterexample, cap=MAX_N)
 
     return parser
 
@@ -385,6 +372,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if not 1 <= args.n <= args.cap:
+            raise UsageError(f"{args.command} supports sizes 1..{args.cap}")
         code = args.handler(args, sys.stdout)
         sys.stdout.flush()
     except UsageError as exc:

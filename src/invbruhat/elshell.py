@@ -7,7 +7,10 @@ label word, and that chain is lexicographically minimal among the
 interval's chains.  Covers of a class view inherit the rise label of the
 ambient involution order when they are covers there, looked up in the
 whole order's labelled covers; covers that jump more than one ambient
-rank carry no label and make EL verification inapplicable.
+rank carry no label.  Both routes refuse a view in one way, the
+ValueError of their shared ``_el_preconditions``, whose message names
+the first failed condition: labels are checked first, then gradedness,
+boundedness and repeated labels.  A report is its sorted violations.
 
 ``el_check`` takes the bottoms x by descending rank, and by descending
 position within a rank, and makes one pass over x's out-edges in
@@ -20,7 +23,7 @@ edge x -> a reads a's sets as they are stored; only a chain that ends at
 a, past a's last edge, needs the one-bit set of a.  That costs
 O(covers) big-int operations instead of a chain search per comparable
 pair.  ``el_check_by_enumeration`` is the oracle twin that lists every
-chain of every interval.
+chain of every interval with the walk of ``chains``, under its guard.
 
 The fixed-point-free class is EL-labelled by the rise labels under the
 *reversed* lexicographic label order; the full involution order uses the
@@ -39,8 +42,10 @@ from .bruhat import Label, PosetView, bits, bruhat_less
 from .chains import (
     Chain,
     DEFAULT_CHAIN_GUARD,
+    _guarded_chains,
     decreasing_chain,
     increasing_chain,
+    is_weakly_increasing,
 )
 from .fpclasses import (
     FixedPointSpec,
@@ -67,9 +72,11 @@ class LabelOrder(Enum):
 
 @dataclass(frozen=True)
 class ELReport:
-    applicable: bool
-    is_el: bool
     violations: tuple[tuple[Perm, Perm, str], ...]
+
+    @property
+    def is_el(self) -> bool:
+        return not self.violations
 
 
 def labelled_class_view(spec: FixedPointSpec) -> PosetView:
@@ -91,8 +98,11 @@ def labelled_class_view(spec: FixedPointSpec) -> PosetView:
 
 def _el_preconditions(view: PosetView) -> tuple[tuple[int, ...], list]:
     """A labelled view's ranks and (label, upper cover) out-edges, by
-    position.  ValueError if it is not graded, not bounded (one element of
-    rank 0, one of the top rank) or an element repeats a cover label."""
+    position.  ValueError, checked in this order, if some cover carries
+    no label, the view is not graded, not bounded (one element of rank 0,
+    one of the top rank) or an element repeats a cover label."""
+    if view.labels is None or None in view.labels:
+        raise ValueError("some induced covers carry no label")
     ranks = is_graded_bruteforce(view).ranks
     if ranks is None:
         raise ValueError("view is not graded")
@@ -107,16 +117,10 @@ def _el_preconditions(view: PosetView) -> tuple[tuple[int, ...], list]:
     return ranks, out
 
 
-def _report(violations: list[tuple[Perm, Perm, str]]) -> ELReport:
-    return ELReport(applicable=True, is_el=not violations,
-                    violations=tuple(sorted(violations)))
-
-
 def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     """Verify the EL-labelling condition on every interval of ``view``.
 
-    The view must be fully labelled (reported as not applicable
-    otherwise) and pass ``_el_preconditions`` (ValueError otherwise).  A
+    The view must pass ``_el_preconditions`` (ValueError otherwise).  A
     violation lists (bottom, top, reason) for its interval.
 
     Out-edges are taken in increasing label key.  For each bottom x,
@@ -133,8 +137,6 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
     such edge (j is past a's last edge), the chain ends at a and both
     sets it contributes are a alone.
     """
-    if view.labels is None or None in view.labels:
-        return ELReport(applicable=False, is_el=False, violations=())
     ranks, out = _el_preconditions(view)
 
     # An element's sets are last read by its lowest lower cover.  Bottoms
@@ -181,47 +183,30 @@ def el_check(view: PosetView, order: LabelOrder) -> ELReport:
         for _, a in edges:
             if last_reader[a] == x:
                 keys[a] = one[a] = two[a] = below[a] = up[a] = lex[a] = None
-    return _report(violations)
+    return ELReport(tuple(sorted(violations)))
 
 
 def el_check_by_enumeration(view: PosetView, order: LabelOrder) -> ELReport:
     """Oracle twin of ``el_check``, on the same preconditions, that lists
-    every chain per interval, refusing one past ``DEFAULT_CHAIN_GUARD``."""
-    if view.labels is None or None in view.labels:
-        return ELReport(applicable=False, is_el=False, violations=())
-    out, down = _el_preconditions(view)[1], view.down
-
-    def chains(x: int, y: int) -> list[tuple[Label, ...]]:
-        found: list[tuple[Label, ...]] = []
-
-        def walk(here: int, word: list[Label]):
-            if here == y:
-                found.append(tuple(word))
-                if len(found) > DEFAULT_CHAIN_GUARD:
-                    raise RuntimeError("chain guard exceeded")
-                return
-            for label, z in out[here]:
-                if down[y] >> z & 1:
-                    word.append(label)
-                    walk(z, word)
-                    word.pop()
-
-        walk(x, [])
-        return found
-
+    every chain of every interval [x, y] over the view's positions, with
+    the walk and bounded count of ``chains``: ChainGuardExceeded past
+    ``DEFAULT_CHAIN_GUARD`` chains."""
+    out = _el_preconditions(view)[1]
     violations = []
-    for y, down_y in enumerate(down):
+    for y, down_y in enumerate(view.down):
+        steps = {w: [(label, z) for label, z in out[w] if down_y >> z & 1]
+                 for w in bits(down_y)}.__getitem__
         for x in bits(down_y ^ 1 << y):
-            keyed = [tuple(map(order.key, w)) for w in chains(x, y)]
-            rising = [kw for kw in keyed
-                      if all(a <= b for a, b in zip(kw, kw[1:]))]
+            keyed = [tuple(map(order.key, chain.labels)) for chain
+                     in _guarded_chains(x, y, steps, DEFAULT_CHAIN_GUARD)]
+            rising = [kw for kw in keyed if is_weakly_increasing(kw)]
             reason = ("no-increasing-chain" if not rising
                       else "multiple-increasing-chains" if len(rising) > 1
                       else "increasing-not-lex-min" if rising[0] != min(keyed)
                       else None)
             if reason:
                 violations.append((view.elements[x], view.elements[y], reason))
-    return _report(violations)
+    return ELReport(tuple(sorted(violations)))
 
 
 def fpf_decreasing_chain(p: Perm, q: Perm) -> tuple[bool, Chain]:

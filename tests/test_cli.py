@@ -152,6 +152,11 @@ def test_precondition_errors_exit_2_without_output(argv, capsys):
 ] + [
     pytest.param(command, n, ["--classes", "0"], 11, id=f"{command}-{n}")
     for command in ("hasse", "check-graded", "el-verify") for n in (-1, 0, 12)
+] + [
+    pytest.param(command, n, rest, 12, id=f"{command}-{n}")
+    for command, rest in (("enumerate", ["--classes", "0"]),
+                          ("counterexample", ["--prop", "19", "--i", "2"]))
+    for n in (-1, 0, 13)
 ])
 def test_size_errors_name_the_command_s_own_range(command, n, rest, cap,
                                                   capsys):
@@ -209,7 +214,7 @@ def test_oversized_all_classes_exits_2_before_building_the_counts():
         capture_output=True, text=True, env=env, timeout=60)
     code, out, err, peak_kib = json.loads(proc.stdout)
     assert (code, out) == (2, "")
-    assert err == "error: size 4000000 outside 1..12\n"
+    assert err == "error: enumerate supports sizes 1..12\n"
     assert peak_kib < 40 * 1024  # the count range alone took 150 MB
 
 

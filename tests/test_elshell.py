@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from invbruhat.bruhat import Label, PosetView, UniverseIndex, bits
+from invbruhat.chains import ChainGuardExceeded
 from invbruhat.elshell import (
     ELReport,
     LabelOrder,
@@ -21,6 +22,7 @@ from invbruhat.perms import (enumerate_involutions, format_perm,
                              num_fixed_points, parse_perm)
 
 EL_GOLDEN = Path(__file__).parent / "golden" / "el_check_n8.json"
+UNLABELLED = "some induced covers carry no label"
 
 
 def words(*texts):
@@ -99,19 +101,19 @@ def test_the_identity_class_builds_no_order():
 def test_el_check_fixed_point_free_reversed():
     view = labelled_class_view(make_spec(4, {0}))
     report = el_check(view, LabelOrder.REVERSED_LEX)
-    assert report.applicable and report.is_el and not report.violations
+    assert report.is_el and not report.violations
 
 
 def test_el_check_full_involution_order_standard():
     view = labelled_class_view(make_spec(4, {0, 2, 4}))
     report = el_check(view, LabelOrder.STANDARD_LEX)
-    assert report.applicable and report.is_el
+    assert report.is_el
 
 
 def test_el_check_standard_order_fails_on_fpf_class():
     view = labelled_class_view(make_spec(6, {0}))
     report = el_check(view, LabelOrder.STANDARD_LEX)
-    assert report.applicable and not report.is_el
+    assert not report.is_el
     assert report.violations
 
 
@@ -127,8 +129,7 @@ def test_el_check_agrees_with_enumeration():
         view = labelled_class_view(spec)
         fast = el_check(view, order)
         slow = el_check_by_enumeration(view, order)
-        assert (fast.applicable, fast.is_el, fast.violations) \
-            == (slow.applicable, slow.is_el, slow.violations)
+        assert fast == slow
 
 
 def test_el_check_matches_enumeration_on_every_case_up_to_n6():
@@ -145,9 +146,7 @@ def test_el_check_matches_enumeration_on_every_case_up_to_n6():
                 try:
                     fast = el_check(view, order)
                 except ValueError:
-                    continue  # an unbounded class has no EL question
-                if not fast.applicable:
-                    continue
+                    continue  # a refused class has no EL question
                 assert fast == el_check_by_enumeration(view, order), \
                     (spec, order)
                 compared += 1
@@ -167,7 +166,15 @@ def el_check_summaries() -> dict[str, dict]:
     """``el_check``'s report on every (count set, order) case at n <= 8,
     keyed by class and order: applicable, is_el, the violation count and
     a SHA-256 of the sorted violations, or the message of the ValueError
-    raised instead."""
+    raised instead.  The unlabelled-cover refusal keeps the not-applicable
+    entry it had when it was a report rather than a ValueError."""
+    def entry(applicable: bool, is_el: bool, violations) -> dict:
+        words = [[format_perm(a), format_perm(b), why]
+                 for a, b, why in sorted(violations)]
+        digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
+        return {"applicable": applicable, "is_el": is_el,
+                "violations": len(words), "sha256": digest}
+
     summaries = {}
     for n in range(1, 9):
         for spec in all_specs(n):
@@ -176,17 +183,11 @@ def el_check_summaries() -> dict[str, dict]:
                 try:
                     report = el_check(view, order)
                 except ValueError as exc:
-                    entry = {"error": str(exc)}
+                    summary = {"error": str(exc)} if str(exc) != UNLABELLED \
+                        else entry(False, False, ())
                 else:
-                    violations = [[format_perm(a), format_perm(b), why]
-                                  for a, b, why in sorted(report.violations)]
-                    digest = hashlib.sha256(
-                        json.dumps(violations).encode()).hexdigest()
-                    entry = {"applicable": report.applicable,
-                             "is_el": report.is_el,
-                             "violations": len(violations),
-                             "sha256": digest}
-                summaries[f"{spec.describe()} {order.value}"] = entry
+                    summary = entry(True, report.is_el, report.violations)
+                summaries[f"{spec.describe()} {order.value}"] = summary
     return summaries
 
 
@@ -221,8 +222,15 @@ def test_el_check_reports_each_reason_on_a_diamond(left, right, reason):
 
 def test_el_check_not_applicable_with_unlabelled_covers():
     view = labelled_class_view(make_spec(6, {2}))
-    report = el_check(view, LabelOrder.REVERSED_LEX)
-    assert not report.applicable and not report.is_el
+    with pytest.raises(ValueError, match=UNLABELLED):
+        el_check(view, LabelOrder.REVERSED_LEX)
+
+
+def test_el_oracle_refuses_past_the_chain_guard():
+    # I_6's longest intervals have more chains than the guard allows
+    view = labelled_class_view(make_spec(6, {0, 2, 4, 6}))
+    with pytest.raises(ChainGuardExceeded):
+        el_check_by_enumeration(view, LabelOrder.STANDARD_LEX)
 
 
 def test_el_check_rejects_ungraded_view():
@@ -253,8 +261,7 @@ def ungraded_view():
 
 
 @pytest.mark.parametrize("make_view, expected", [
-    (lambda: labelled_class_view(make_spec(6, {2})),
-     ELReport(applicable=False, is_el=False, violations=())),
+    (lambda: labelled_class_view(make_spec(6, {2})), UNLABELLED),
     (ungraded_view, "view is not graded"),
     (unbounded_view, "view is not bounded"),
     (lambda: labelled_view(words("1234", "1243", "2134"),
@@ -270,7 +277,7 @@ def ungraded_view():
     (lambda: diamond(((1, 2), (3, 4)), ((1, 2), (3, 5))),
      "element (1, 2, 3, 4) repeats a cover label"),
     (lambda: PosetView(elements=words("1234"), covers=(), labels=()),
-     ELReport(applicable=True, is_el=True, violations=())),
+     ELReport(violations=())),
 ], ids=["unlabelled", "ungraded", "unbounded", "two-tops", "two-bottoms",
         "empty", "repeated-label", "one-element"])
 def test_both_el_routes_return_or_refuse_alike(make_view, expected):
@@ -296,7 +303,7 @@ def test_both_el_routes_return_or_refuse_alike(make_view, expected):
                       LabelOrder.STANDARD_LEX), "repeats a cover label"),
     (lambda: el_check_by_enumeration(labelled_class_view(make_spec(6, {2})),
                                      LabelOrder.STANDARD_LEX),
-     ELReport(applicable=False, is_el=False, violations=())),
+     UNLABELLED),
     (lambda: el_check_by_enumeration(ungraded_view(),
                                      LabelOrder.STANDARD_LEX),
      "view is not graded"),
@@ -305,12 +312,9 @@ def test_both_el_routes_return_or_refuse_alike(make_view, expected):
         "enumeration-ungraded"])
 def test_each_guard_raises_or_reports(call, expected):
     """Guards the other tests never reach: each raises ValueError with its
-    message, or returns the not-applicable report."""
-    if isinstance(expected, str):
-        with pytest.raises(ValueError, match=expected):
-            call()
-    else:
-        assert call() == expected
+    message."""
+    with pytest.raises(ValueError, match=expected):
+        call()
 
 
 def test_fpf_decreasing_chain_example():
