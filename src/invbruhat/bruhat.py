@@ -10,8 +10,7 @@ tables packed into ints, 5 bits an entry.
 down-set bitmasks (each element's down-set includes the element);
 ``restrict`` reads off the order induced on a subset of positions, so a
 class view is the involution order (built from the covering moves)
-restricted to the class.  ``adjoin_bottom`` adds a least element at
-position 0 and ``drop_bottom`` removes the element there, neither with a
+restricted to the class, and ``drop_bottom`` drops position 0 with no
 peel.  Covers are sorted position pairs (i, j) with i < j, so a view
 lists its elements in a linear extension and every walk over the order
 walks the positions.  Word order is one: if v < w differ first at
@@ -144,18 +143,6 @@ class PosetView:
                 below ^= below & down[x]  # drop x and its down-set
         return PosetView(elements=tuple(map(self.elements.__getitem__, where)),
                          covers=tuple(chain.from_iterable(files)))
-
-    def adjoin_bottom(self, bottom: Perm) -> PosetView:
-        """This order with ``bottom`` added below every element, at
-        position 0: it is covered by exactly this view's minimal
-        elements, and every other cover moves up one position.  The
-        result is unlabelled."""
-        covered = {j for _, j in self.covers}
-        covers = [(0, j + 1) for j in range(len(self.elements))
-                  if j not in covered]
-        covers += [(i + 1, j + 1) for i, j in self.covers]
-        return PosetView(elements=(bottom, *self.elements),
-                         covers=tuple(covers))
 
     def drop_bottom(self) -> PosetView:
         """The order induced on every element but the one at position 0.

@@ -50,7 +50,7 @@ from .fpclasses import (
     rank_value,
 )
 from .perms import (MAX_N, Perm, format_perm, is_involution,
-                    num_fixed_points, parse_perm, statistics)
+                    num_fixed_points, parse_decimal, parse_perm, statistics)
 
 
 class UsageError(Exception):
@@ -63,10 +63,9 @@ def _parse_counts(args, n: int) -> range | frozenset[int]:
     if args.classes is None:
         raise UsageError("one of --classes or --all-classes is required")
     try:
-        counts = frozenset(int(part) for part in args.classes.split(","))
+        return frozenset(map(parse_decimal, args.classes.split(",")))
     except ValueError:
         raise UsageError(f"bad --classes value: {args.classes!r}") from None
-    return counts
 
 
 def _spec_from_args(args) -> FixedPointSpec:
@@ -123,18 +122,18 @@ def cmd_hasse(args, out) -> int:
 
 def cmd_check_graded(args, out) -> int:
     specs = all_specs(args.n) if args.all_classes else [_spec_from_args(args)]
-    # A class without n is followed by its partner, which adjoins the
-    # identity to its view, so at most two views are held at once.
+    # Over all classes only the count sets A with n are built: the
+    # identity is the bottom of each, and dropping it gives the view of
+    # A - {n}, so a pair costs one peel and two views are held at once.
     graded = {}
     for spec in specs:
-        if spec.counts in graded:
+        if args.all_classes and args.n not in spec.counts:
             continue
         view = class_view(spec)
         graded[spec.counts] = is_graded_bruteforce(view).graded
-        if args.all_classes and args.n not in spec.counts:
-            partner = FixedPointSpec(n=args.n, counts=spec.counts | {args.n})
-            graded[partner.counts] = is_graded_bruteforce(
-                class_view(partner, base=view)).graded
+        if args.all_classes and spec.counts != {args.n}:
+            graded[spec.counts - {args.n}] = is_graded_bruteforce(
+                view.drop_bottom()).graded
     results = []
     all_agree = True
     for spec in specs:
@@ -317,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_class_flags(sp):
-        sp.add_argument("--n", type=int, required=True, help="word size")
+        sp.add_argument("--n", type=parse_decimal, required=True,
+                        help="word size")
         group = sp.add_mutually_exclusive_group()
         group.add_argument("--classes",
                            help="comma-separated fixed-point counts, e.g. 0,2")
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_check_graded, cap=MAX_VIEW_N)
 
     sp = sub.add_parser("chains", help="saturated chains of an interval")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=parse_decimal, required=True)
     sp.add_argument("--from", required=True, help="bottom word")
     sp.add_argument("--to", required=True, help="top word")
     sp.add_argument("--kind", choices=["increasing", "decreasing", "all"],
@@ -357,11 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("counterexample",
                         help="verified unequal-length chain constructions")
-    sp.add_argument("--prop", type=int, choices=[19, 20], required=True,
+    sp.add_argument("--prop", type=parse_decimal, choices=[19, 20],
+                    required=True,
                     help="19: isolated count; 20: gapped count set")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--m", type=int)
+    sp.add_argument("--n", type=parse_decimal, required=True)
+    sp.add_argument("--i", type=parse_decimal, required=True)
+    sp.add_argument("--m", type=parse_decimal)
     sp.set_defaults(handler=cmd_counterexample, cap=MAX_N)
 
     return parser

@@ -157,21 +157,15 @@ def involution_view(n: int) -> PosetView:
                      labels=tuple(labels))
 
 
-def class_view(spec: FixedPointSpec, base: PosetView | None = None
-               ) -> PosetView:
+def class_view(spec: FixedPointSpec) -> PosetView:
     """Covering graph of the induced order on the class, A its count set.
 
     The full count set is the whole order, labels included; {n} is the
-    identity alone, no order built.  Others come unlabelled, by one of:
-
-    * the full set minus n is the whole order with its bottom dropped;
-    * A with n and some other count is the class of A - {n} with the
-      identity adjoined as its bottom: the identity is the least
-      involution and the first word, so it is covered by exactly the
-      minimal elements of A - {n} and no other cover changes.  ``base``
-      is that class's view when the caller holds it, else it is built;
-    * any other class is the whole order restricted to its positions,
-      the one route that peels.
+    identity alone, no order built; the full set minus n is the whole
+    order with its bottom, the identity, dropped.  Any other class is
+    the whole order restricted to its positions, the one route that
+    peels; the identity is position 0 there, so a class with n holds it
+    as its bottom like any other element.  These views are unlabelled.
     """
     n = spec.n
     full = frozenset(range(n % 2, n + 1, 2))
@@ -182,18 +176,16 @@ def class_view(spec: FixedPointSpec, base: PosetView | None = None
     whole = involution_view(n)
     if spec.counts == full - {n}:
         return whole.drop_bottom()
-    rest = spec.counts - {n}
-    if rest and rest != spec.counts:
-        if base is None:
-            base = class_view(FixedPointSpec(n=n, counts=rest))
-        return base.adjoin_bottom(identity(n))
     return whole.restrict(_positions(spec))
 
 
 @dataclass(frozen=True)
 class GradedReport:
-    graded: bool
     ranks: tuple[int, ...] | None
+
+    @property
+    def graded(self) -> bool:
+        return self.ranks is not None
 
 
 def is_graded_bruteforce(view: PosetView) -> GradedReport:
@@ -217,10 +209,10 @@ def is_graded_bruteforce(view: PosetView) -> GradedReport:
         if not seen:
             height[j] = h
         elif seen != h:
-            return GradedReport(graded=False, ranks=None)
+            return GradedReport(ranks=None)
     if len(set(compress(height, maximal))) > 1:
-        return GradedReport(graded=False, ranks=None)
-    return GradedReport(graded=True, ranks=tuple(height))
+        return GradedReport(ranks=None)
+    return GradedReport(ranks=tuple(height))
 
 
 def is_graded_rule(spec: FixedPointSpec) -> bool:
@@ -301,10 +293,16 @@ class WitnessReport:
     """Two verified bottom-to-top chains of different lengths in a class."""
 
     spec: FixedPointSpec
-    bottom: Perm
-    top: Perm
     long_chain: tuple[Perm, ...]
     short_chain: tuple[Perm, ...]
+
+    @property
+    def bottom(self) -> Perm:
+        return self.long_chain[0]
+
+    @property
+    def top(self) -> Perm:
+        return self.long_chain[-1]
 
 
 def _pad(core: Perm | list[int], n: int, i: int) -> Perm:
@@ -346,8 +344,8 @@ def _padded_witness(spec: FixedPointSpec, i: int, long_core,
     long_chain = tuple(_pad(w, spec.n, i) for w in long_core)
     short_chain = tuple(_pad(w, spec.n, i) for w in short_core)
     _verify_class_chains((long_chain, short_chain), enumerate_class(spec))
-    return WitnessReport(spec=spec, bottom=long_chain[0], top=long_chain[-1],
-                         long_chain=long_chain, short_chain=short_chain)
+    return WitnessReport(spec=spec, long_chain=long_chain,
+                         short_chain=short_chain)
 
 
 def isolated_count_witness(n: int, i: int) -> WitnessReport:

@@ -6,14 +6,15 @@ appearing once; position ``i`` (1-based) holds the image of ``i``.  All
 values are immutable tuples, so they hash, compare, and can be shared
 freely.  Sizes are capped at MAX_N to keep exhaustive sweeps in memory.
 
-Two textual forms are understood: compact digit strings like ``426153``
-(only for n <= 9, where they are unambiguous) and comma-separated words
-like ``4,2,6,1,5,3`` (any size).  ``format_perm`` emits the compact form
+Two textual forms are understood, both in ASCII decimal digits: compact
+digit strings like ``426153`` (only for n <= 9, where they are
+unambiguous) and comma-separated words like ``4,2,6,1,5,3`` (any size).  ``format_perm`` emits the compact form
 whenever it is unambiguous; parse/format round-trips are exact.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import permutations as _all_perms
 from typing import Iterator, Sequence
@@ -21,6 +22,8 @@ from typing import Iterator, Sequence
 Perm = tuple[int, ...]
 
 MAX_N = 12
+
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 def check_perm(word: Sequence[int]) -> Perm:
@@ -127,6 +130,16 @@ def brute_force_involutions(n: int) -> tuple[Perm, ...]:
     )
 
 
+def parse_decimal(text: str) -> int:
+    """An integer in ASCII decimal digits, after an optional minus sign,
+    with surrounding whitespace stripped.  ``int`` alone would also take
+    ``_`` separators and non-ASCII digits."""
+    text = text.strip()
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_perm(text: str) -> Perm:
     """Parse a one-line word from compact digits or a comma-separated list.
 
@@ -136,22 +149,20 @@ def parse_perm(text: str) -> Perm:
     (4, 2, 6, 1, 5, 3)
     """
     text = text.strip()
-    if not text:
-        raise ValueError("empty permutation text")
-    if "," in text:
-        parts = [part.strip() for part in text.split(",")]
-        try:
-            word = [int(part) for part in parts]
-        except ValueError:
-            raise ValueError(f"bad permutation word: {text!r}") from None
-        return check_perm(word)
-    if not text.isdigit():
-        raise ValueError(f"bad permutation word: {text!r}")
-    if len(text) > 9:
+    compact = "," not in text
+    try:
+        if compact:  # the digits checked at once; a sign fails int(ch)
+            parse_decimal(text)
+            word = [int(ch) for ch in text]
+        else:
+            word = [parse_decimal(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad permutation word: {text!r}") from None
+    if compact and len(word) > 9:
         raise ValueError(
             f"digit-string form is ambiguous for n > 9: {text!r}; use commas"
         )
-    return check_perm([int(ch) for ch in text])
+    return check_perm(word)
 
 
 def format_perm(p: Perm) -> str:

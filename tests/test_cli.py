@@ -138,12 +138,28 @@ def test_chains_incomparable_exits_with_usage_error(capsys):
     # the size is checked before the witness is built
     ["counterexample", "--prop", "20", "--n", "200004", "--i", "2",
      "--m", "100000"],
+    # only ASCII decimal digits, with no "_" separators, are integers
+    ["check-graded", "--n", "8", "--classes", "0_2"],
+    ["check-graded", "--n", "8", "--classes", "\uff12"],
+    ["chains", "--n", "4", "--from", "\uff12\uff11\uff14\uff13",
+     "--to", "4321"],
+    ["chains", "--n", "10", "--from", "1,2,3,4,5,6,7,8,9,1_0",
+     "--to", "10,9,8,7,6,5,4,3,2,1", "--kind", "increasing"],
+    ["check-graded", "--n", "\uff18", "--all-classes"],
+    ["counterexample", "--prop", "19", "--n", "1_0", "--i", "2"],
+    ["counterexample", "--prop", "1_9", "--n", "10", "--i", "2"],
+    ["counterexample", "--prop", "20", "--n", "10", "--i", "2",
+     "--m", "\u0661"],
 ])
 def test_precondition_errors_exit_2_without_output(argv, capsys):
-    assert main(argv) == 2
+    try:
+        code, opening = main(argv), "error:"
+    except SystemExit as exc:  # argparse's type check, after its usage line
+        code, opening = exc.code, "usage:"
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith(opening)
 
 
 @pytest.mark.parametrize("command, n, rest, cap", [

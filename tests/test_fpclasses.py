@@ -333,11 +333,12 @@ def test_minimal_elements_past_the_view_cap_need_no_order():
 
 
 def derivable_specs(n):
-    """The count sets whose views are derived rather than peeled: those
-    with n, and every count of n's parity but n."""
-    full = frozenset(range(n % 2, n + 1, 2))
+    """The count sets A with n and some other count.  The identity is the
+    bottom of each view, and dropping it gives the view of A - {n}: that
+    is how check-graded over all classes reads A - {n}, and how
+    class_view reads the full set minus n off the whole order."""
     return [spec for spec in all_specs(n)
-            if n in spec.counts or spec.counts == full - {n}]
+            if n in spec.counts and spec.counts != {n}]
 
 
 def test_derived_class_views_equal_the_plain_peel():
@@ -345,22 +346,21 @@ def test_derived_class_views_equal_the_plain_peel():
         whole = involution_view(n)
         where = {p: i for i, p in enumerate(whole.elements)}
         for spec in derivable_specs(n):
-            view = class_view(spec)
-            peeled = whole.restrict([where[p] for p in enumerate_class(spec)])
-            assert view.elements == peeled.elements, spec
-            assert view.covers == peeled.covers, spec
+            rest = make_spec(n, spec.counts - {n})
+            peeled = whole.restrict([where[p] for p in enumerate_class(rest)])
+            for view in class_view(spec).drop_bottom(), class_view(rest):
+                assert view.elements == peeled.elements, spec
+                assert view.covers == peeled.covers, spec
 
 
 def test_identity_is_covered_by_the_minimal_elements_of_the_rest():
     for n in range(2, 9):
         for spec in derivable_specs(n):
-            rest = spec.counts - {n}
-            if not rest or rest == spec.counts:
-                continue
             view = class_view(spec)
             assert view.elements[0] == tuple(range(1, n + 1))
             above = tuple(view.elements[j] for i, j in view.covers if i == 0)
-            assert above == minimal_elements(make_spec(n, rest)), spec
+            rest = make_spec(n, spec.counts - {n})
+            assert above == minimal_elements(rest), spec
 
 
 def graded_with_long_covers(spec, view: PosetView) -> bool:
@@ -406,7 +406,9 @@ def test_check_graded_over_all_classes_peels_once_per_pair(monkeypatch,
     monkeypatch.setattr(PosetView, "restrict", counted)
     assert main(["check-graded", "--n", "8", "--all-classes"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
-    assert len(peels) <= 15  # of 31 count sets; one per class peeled before
+    # 14 of the 31 count sets: the 16 with n but the full set and {n};
+    # each class without n is read off its partner's view, not peeled
+    assert len(peels) == 14
 
 
 def test_poset_rank_examples():

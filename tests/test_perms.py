@@ -108,7 +108,10 @@ def test_parse_format_examples():
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "0", "12x", "1,2,2", "1223334444"]:
+    for text in ["", "0", "12x", "1,2,2", "1223334444",
+                 # only ASCII decimal digits, with no "_" separators
+                 "\uff12\uff11\uff14\uff13", "\uff12,\uff11", "1_2",
+                 "-1", "2,1,4,3,5,6,7,8,9,1_0"]:
         with pytest.raises(ValueError):
             parse_perm(text)
 
